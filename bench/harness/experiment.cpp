@@ -422,7 +422,20 @@ void print_table_header(const std::string& label, const std::vector<std::string>
 void print_table_row(const std::string& label, const std::vector<double>& values,
                      int width, int precision) {
   std::printf("%-24s", label.c_str());
-  for (double v : values) std::printf("%*.*f", width, precision, v);
+  for (double v : values) {
+    // Widen the fixed precision until a non-zero value shows 3 significant
+    // digits (a 0.4 ms phase would otherwise print as 0.0); values too
+    // small for the column switch to scientific notation.
+    int digits = precision;
+    if (v != 0.0 && std::isfinite(v)) {
+      const int magnitude = static_cast<int>(std::floor(std::log10(std::fabs(v))));
+      digits = std::max(digits, 2 - magnitude);
+    }
+    if (digits > width - 3)
+      std::printf("%*.2e", width, v);
+    else
+      std::printf("%*.*f", width, digits, v);
+  }
   std::printf("\n");
 }
 

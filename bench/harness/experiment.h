@@ -131,7 +131,9 @@ class BenchJson {
 
 void print_header(const std::string& title, const std::string& paper_ref);
 
-// Fixed-width row printing: print_row("DINAR", {50.0, 62.1}) etc.
+// Fixed-width row printing: print_row("DINAR", {50.0, 62.1}) etc. Every
+// non-zero value gets at least 3 significant digits, so `precision` is a
+// minimum number of decimals.
 void print_table_row(const std::string& label, const std::vector<double>& values,
                      int width = 12, int precision = 1);
 void print_table_header(const std::string& label, const std::vector<std::string>& cols,

@@ -1,6 +1,5 @@
 #include "nn/conv1d.h"
 
-#include "nn/conv_kernels.h"
 #include "util/error.h"
 
 namespace dinar::nn {
@@ -23,39 +22,29 @@ Tensor Conv1d::forward(const Tensor& x, bool train) {
   const std::int64_t ol = out_size(l);
   DINAR_CHECK(ol >= 1, name() << ": input too short");
 
-  // A 1-D convolution is the height-1 special case of the 2-D im2col path:
-  // [B, C, L] is viewed as [B, C, 1, L] with a (1, K) kernel.
-  Tensor cols = im2col2d(x.reshaped({b, in_ch_, 1, l}), 1, kernel_, stride_, 0,
-                         padding_, 1, ol, exec_);
+  // A 1-D convolution is the height-1 case of the 2-D lowering: [B, C, L]
+  // is read as [B, C, 1, L] with a (1, K) kernel.
+  const ConvShape s{b, in_ch_, 1, l, out_ch_, 1, kernel_, stride_, 0, padding_, 1, ol};
+  float* cols = nullptr;
   if (train) {
-    cached_input_ = x;
-    cached_cols_ = cols;
+    cols = retained_patches(cached_cols_, s);
+    cached_shape_ = s;
   }
-  const Tensor wmat = weight_.reshaped({out_ch_, in_ch_ * kernel_});
-  const Tensor rows = gemm(Trans::kN, Trans::kT, cols, wmat, exec_);
-  return scatter_output_rows2d(rows, bias_, b, 1, ol, exec_)
-      .reshaped({b, out_ch_, ol});
+  Tensor y({b, out_ch_, ol});
+  conv_forward(s, x.data(), weight_.data(), bias_.data(), cols, y.data(), exec_);
+  return y;
 }
 
 Tensor Conv1d::backward(const Tensor& grad_out) {
-  DINAR_CHECK(!cached_input_.empty(), "Conv1d::backward without cached forward");
-  const Tensor& x = cached_input_;
-  const std::int64_t b = x.dim(0), l = x.dim(2);
-  const std::int64_t ol = out_size(l);
-  DINAR_CHECK(grad_out.rank() == 3 && grad_out.dim(1) == out_ch_ && grad_out.dim(2) == ol,
+  DINAR_CHECK(cached_shape_.has_value(), "Conv1d::backward without cached forward");
+  const ConvShape& s = *cached_shape_;
+  DINAR_CHECK(grad_out.rank() == 3 && grad_out.dim(0) == s.batch &&
+                  grad_out.dim(1) == out_ch_ && grad_out.dim(2) == s.ow,
               "Conv1d backward shape mismatch");
-
-  const Tensor gmat =
-      gather_grad_rows2d(grad_out.reshaped({b, out_ch_, 1, ol}), exec_);
-  grad_weight_ +=
-      gemm(Trans::kT, Trans::kN, gmat, cached_cols_, exec_).reshaped(weight_.shape());
-  accumulate_bias_grad(gmat, grad_bias_, exec_);
-
-  const Tensor wmat = weight_.reshaped({out_ch_, in_ch_ * kernel_});
-  const Tensor dcols = gemm(Trans::kN, Trans::kN, gmat, wmat, exec_);
-  Tensor dx4({b, in_ch_, 1, l});
-  col2im2d(dcols, dx4, 1, kernel_, stride_, 0, padding_, 1, ol, exec_);
-  return dx4.reshaped({b, in_ch_, l});
+  Tensor dx({s.batch, in_ch_, s.w});
+  conv_backward(s, cached_cols_.data(), weight_.data(), grad_out.data(),
+                grad_weight_.data(), grad_bias_.data(), dx.data(), exec_);
+  return dx;
 }
 
 std::string Conv1d::name() const {

@@ -2,6 +2,9 @@
 // Commands / M18 substitute operates on raw synthetic waveforms).
 #pragma once
 
+#include <optional>
+
+#include "nn/conv_kernels.h"
 #include "nn/layer.h"
 
 namespace dinar::nn {
@@ -29,8 +32,8 @@ class Conv1d : public Layer {
   Tensor bias_;    // [OC]
   Tensor grad_weight_;
   Tensor grad_bias_;
-  Tensor cached_input_;
-  Tensor cached_cols_;  // im2col of cached_input_, reused by backward
+  std::optional<ConvShape> cached_shape_;  // geometry of the last training forward
+  Tensor cached_cols_;  // its patch matrices (a grow-only prefix), read by backward
 };
 
 }  // namespace dinar::nn

@@ -1,6 +1,5 @@
 #include "nn/conv2d.h"
 
-#include "nn/conv_kernels.h"
 #include "util/error.h"
 
 namespace dinar::nn {
@@ -24,37 +23,28 @@ Tensor Conv2d::forward(const Tensor& x, bool train) {
   const std::int64_t oh = out_size(h), ow = out_size(w);
   DINAR_CHECK(oh >= 1 && ow >= 1, name() << ": input spatially too small");
 
-  // im2col lowering: one gemm against the [OC, IC*K*K] weight view instead
-  // of the former per-output scalar loops (see nn/conv_kernels.h).
-  Tensor cols = im2col2d(x, kernel_, kernel_, stride_, padding_, padding_, oh, ow,
-                         exec_);
+  const ConvShape s{b, in_ch_, h, w, out_ch_, kernel_, kernel_, stride_,
+                    padding_, padding_, oh, ow};
+  float* cols = nullptr;
   if (train) {
-    cached_input_ = x;
-    cached_cols_ = cols;  // reused by backward's weight-gradient gemm
+    cols = retained_patches(cached_cols_, s);
+    cached_shape_ = s;
   }
-  const Tensor wmat = weight_.reshaped({out_ch_, in_ch_ * kernel_ * kernel_});
-  const Tensor rows = gemm(Trans::kN, Trans::kT, cols, wmat, exec_);
-  return scatter_output_rows2d(rows, bias_, b, oh, ow, exec_);
+  Tensor y({b, out_ch_, oh, ow});
+  conv_forward(s, x.data(), weight_.data(), bias_.data(), cols, y.data(), exec_);
+  return y;
 }
 
 Tensor Conv2d::backward(const Tensor& grad_out) {
-  DINAR_CHECK(!cached_input_.empty(), "Conv2d::backward without cached forward");
-  const Tensor& x = cached_input_;
-  const std::int64_t b = x.dim(0), h = x.dim(2), w = x.dim(3);
-  const std::int64_t oh = out_size(h), ow = out_size(w);
-  DINAR_CHECK(grad_out.rank() == 4 && grad_out.dim(1) == out_ch_ &&
-                  grad_out.dim(2) == oh && grad_out.dim(3) == ow,
+  DINAR_CHECK(cached_shape_.has_value(), "Conv2d::backward without cached forward");
+  const ConvShape& s = *cached_shape_;
+  DINAR_CHECK(grad_out.rank() == 4 && grad_out.dim(0) == s.batch &&
+                  grad_out.dim(1) == out_ch_ && grad_out.dim(2) == s.oh &&
+                  grad_out.dim(3) == s.ow,
               "Conv2d backward shape mismatch");
-
-  const Tensor gmat = gather_grad_rows2d(grad_out, exec_);  // [B*OH*OW, OC]
-  grad_weight_ +=
-      gemm(Trans::kT, Trans::kN, gmat, cached_cols_, exec_).reshaped(weight_.shape());
-  accumulate_bias_grad(gmat, grad_bias_, exec_);
-
-  const Tensor wmat = weight_.reshaped({out_ch_, in_ch_ * kernel_ * kernel_});
-  const Tensor dcols = gemm(Trans::kN, Trans::kN, gmat, wmat, exec_);
-  Tensor dx({b, in_ch_, h, w});
-  col2im2d(dcols, dx, kernel_, kernel_, stride_, padding_, padding_, oh, ow, exec_);
+  Tensor dx({s.batch, in_ch_, s.h, s.w});
+  conv_backward(s, cached_cols_.data(), weight_.data(), grad_out.data(),
+                grad_weight_.data(), grad_bias_.data(), dx.data(), exec_);
   return dx;
 }
 

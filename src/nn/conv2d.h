@@ -1,10 +1,10 @@
-// 2-D convolution over [B, C, H, W] inputs (direct algorithm).
-//
-// The models in this repo run on 12x12 synthetic images with tens of
-// channels, where the direct triple loop is both fast enough and easy to
-// verify against finite differences.
+// 2-D convolution over [B, C, H, W] inputs, lowered image by image onto
+// gemm (nn/conv_kernels.h).
 #pragma once
 
+#include <optional>
+
+#include "nn/conv_kernels.h"
 #include "nn/layer.h"
 
 namespace dinar::nn {
@@ -32,8 +32,8 @@ class Conv2d : public Layer {
   Tensor bias_;    // [OC]
   Tensor grad_weight_;
   Tensor grad_bias_;
-  Tensor cached_input_;
-  Tensor cached_cols_;  // im2col of cached_input_, reused by backward
+  std::optional<ConvShape> cached_shape_;  // geometry of the last training forward
+  Tensor cached_cols_;  // its patch matrices (a grow-only prefix), read by backward
 };
 
 }  // namespace dinar::nn

@@ -19,6 +19,10 @@
 //     the row-block dimension (the only axis gemm parallelizes);
 //   - zero-padding never leaks: padded lanes are computed and discarded at
 //     the store, real lanes see only real operands;
+//   - with `accumulate`, an element's accumulator starts from its current
+//     value in C instead of +0.0f. A float accumulator round-trips through
+//     memory exactly, so a reduction split along k into consecutive calls
+//     runs the same ascending-kk chain as one call over the whole of k;
 //   - tiers differ from each other only in rounding (FMA contraction,
 //     vector lane evaluation), never in accumulation order — scalar is the
 //     testing oracle, SIMD agrees within a small relative tolerance.
@@ -39,18 +43,22 @@ inline constexpr std::int64_t kGemmNR = 8;
 
 // Multiplies one packed A row-block (`rows` <= kGemmMR real rows) against
 // the whole packed B (ceil(n / kGemmNR) panels) and stores rows x n
-// finished elements at `c` (row stride n).
+// finished elements at `c` (row stride ldc), seeding the accumulators from
+// `c` when `accumulate` is set.
 using GemmBlockFn = void (*)(std::int64_t rows, std::int64_t n, std::int64_t k,
-                             const float* apack, const float* bpack, float* c);
+                             const float* apack, const float* bpack, float* c,
+                             std::int64_t ldc, bool accumulate);
 
 void gemm_block_scalar(std::int64_t rows, std::int64_t n, std::int64_t k,
-                       const float* apack, const float* bpack, float* c);
+                       const float* apack, const float* bpack, float* c,
+                       std::int64_t ldc, bool accumulate);
 
 #if DINAR_GEMM_HAVE_AVX2
 // Compiled with -mavx2 -mfma in its own TU; only call when
 // gemm_kernel_available(GemmKernel::kAvx2) is true.
 void gemm_block_avx2(std::int64_t rows, std::int64_t n, std::int64_t k,
-                     const float* apack, const float* bpack, float* c);
+                     const float* apack, const float* bpack, float* c,
+                     std::int64_t ldc, bool accumulate);
 #endif
 
 }  // namespace dinar::detail

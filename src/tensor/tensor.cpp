@@ -297,25 +297,38 @@ Tensor gemm(Trans trans_a, Trans trans_b, const Tensor& a, const Tensor& b,
                            << " x " << (trans_b == Trans::kT ? "T " : "")
                            << shape_to_string(b.shape()));
   Tensor out({m, n});
-  // Degenerate shapes: an empty output, or an empty reduction axis whose
-  // product is all zeros — the zero-initialized tensor is already correct,
-  // and the packing math below assumes every extent is positive.
-  if (m == 0 || n == 0 || k == 0) return out;
+  gemm_into(trans_a, trans_b, m, n, k, a.data(), a.dim(1), b.data(), b.dim(1),
+            out.data(), n, /*accumulate=*/false, exec, kernel);
+  return out;
+}
+
+void gemm_into(Trans trans_a, Trans trans_b, std::int64_t m, std::int64_t n,
+               std::int64_t k, const float* a, std::int64_t lda, const float* b,
+               std::int64_t ldb, float* c, std::int64_t ldc, bool accumulate,
+               const ExecutionContext* exec, GemmKernel kernel) {
+  DINAR_CHECK(m >= 0 && n >= 0 && k >= 0, "gemm_into: negative extent");
+  // Degenerate shapes: an empty output has nothing to write, and an empty
+  // reduction axis leaves every accumulator at its seed (zero, or c's own
+  // value when accumulating). The packing math below assumes every extent
+  // is positive.
+  if (m == 0 || n == 0) return;
+  if (k == 0) {
+    if (!accumulate)
+      for (std::int64_t i = 0; i < m; ++i) std::fill(c + i * ldc, c + i * ldc + n, 0.0f);
+    return;
+  }
   DINAR_CHECK(gemm_kernel_available(kernel),
               "gemm kernel '" << gemm_kernel_name(kernel)
                               << "' is not available in this build/host");
   const detail::GemmBlockFn block_fn = gemm_block_fn(kernel);
 
-  const float* pa = a.data();
-  const float* pb = b.data();
-  float* po = out.data();
   // Element (i, kk) of the logical [m, k] operand op(a), and (kk, j) of the
   // logical [k, n] operand op(b), expressed as strides into the stored data
   // so all four Trans combinations share the packing code.
-  const std::int64_t a_row_stride = trans_a == Trans::kN ? k : 1;
-  const std::int64_t a_k_stride = trans_a == Trans::kN ? 1 : m;
-  const std::int64_t b_k_stride = trans_b == Trans::kN ? n : 1;
-  const std::int64_t b_col_stride = trans_b == Trans::kN ? 1 : k;
+  const std::int64_t a_row_stride = trans_a == Trans::kN ? lda : 1;
+  const std::int64_t a_k_stride = trans_a == Trans::kN ? 1 : lda;
+  const std::int64_t b_k_stride = trans_b == Trans::kN ? ldb : 1;
+  const std::int64_t b_col_stride = trans_b == Trans::kN ? 1 : ldb;
 
   const std::int64_t mblocks = (m + kGemmMR - 1) / kGemmMR;
   const std::int64_t npanels = (n + kGemmNR - 1) / kGemmNR;
@@ -332,7 +345,7 @@ Tensor gemm(Trans trans_a, Trans trans_b, const Tensor& a, const Tensor& b,
       float* panel = bpack + bj * k * kGemmNR;
       for (std::int64_t kk = 0; kk < k; ++kk) {
         float* dst = panel + kk * kGemmNR;
-        const float* src = pb + kk * b_k_stride + j0 * b_col_stride;
+        const float* src = b + kk * b_k_stride + j0 * b_col_stride;
         std::int64_t j = 0;
         for (; j < cols; ++j) dst[j] = src[j * b_col_stride];
         for (; j < kGemmNR; ++j) dst[j] = 0.0f;
@@ -360,7 +373,7 @@ Tensor gemm(Trans trans_a, Trans trans_b, const Tensor& a, const Tensor& b,
         // the L1-resident pack buffer.
         for (std::int64_t r = 0; r < kGemmMR; ++r) {
           if (r < rows) {
-            const float* arow = pa + (i0 + r) * a_row_stride;
+            const float* arow = a + (i0 + r) * a_row_stride;
             for (std::int64_t kk = 0; kk < k; ++kk)
               apack[kk * kGemmMR + r] = arow[kk];
           } else {
@@ -372,20 +385,19 @@ Tensor gemm(Trans trans_a, Trans trans_b, const Tensor& a, const Tensor& b,
         // Transposed operand: each kk step reads kGemmMR contiguous floats.
         for (std::int64_t kk = 0; kk < k; ++kk) {
           float* dst = apack + kk * kGemmMR;
-          const float* src = pa + i0 * a_row_stride + kk * a_k_stride;
+          const float* src = a + i0 * a_row_stride + kk * a_k_stride;
           std::int64_t r = 0;
           for (; r < rows; ++r) dst[r] = src[r * a_row_stride];
           for (; r < kGemmMR; ++r) dst[r] = 0.0f;
         }
       }
-      block_fn(rows, n, k, apack, bpack, po + i0 * n);
+      block_fn(rows, n, k, apack, bpack, c + i0 * ldc, ldc, accumulate);
     }
   };
   if (exec != nullptr)
     exec->parallel_for(mblocks, row_blocks, gemm_block_grain(kernel, k, n));
   else
     row_blocks(0, mblocks);
-  return out;
 }
 
 void span_add(std::span<float> a, std::span<const float> b) {

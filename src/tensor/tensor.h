@@ -128,6 +128,20 @@ Tensor gemm(Trans trans_a, Trans trans_b, const Tensor& a, const Tensor& b,
 Tensor gemm(Trans trans_a, Trans trans_b, const Tensor& a, const Tensor& b,
             const ExecutionContext* exec, GemmKernel kernel);
 
+// The raw-span core both Tensor overloads wrap: c = op(a) op(b) for a
+// logical [m, k] x [k, n] product over row-major storage, where lda, ldb
+// and ldc are the stored row lengths of a, b and c, so callers can
+// multiply sub-matrices in place. Allocation-free after the per-thread
+// packing arenas have grown. With `accumulate`, each element's
+// accumulator starts from its current value in c instead of zero: a
+// reduction split along k into consecutive calls then runs the same
+// ascending-k chain, bit for bit, as one call over the whole of k.
+// Same kernel, parallelism and determinism rules as gemm() above.
+void gemm_into(Trans trans_a, Trans trans_b, std::int64_t m, std::int64_t n,
+               std::int64_t k, const float* a, std::int64_t lda, const float* b,
+               std::int64_t ldb, float* c, std::int64_t ldc, bool accumulate,
+               const ExecutionContext* exec, GemmKernel kernel);
+
 // -- span kernels ------------------------------------------------------------
 // Elementwise math over raw float ranges. These are the inner loops of the
 // FlatParams parameter space (nn/flat_params.h): whole-model snapshots live

@@ -35,11 +35,6 @@ struct ExecConfig {
   // Minimum indices per parallel_for chunk when the caller does not pass
   // its own grain; keeps tiny loops from paying scheduling overhead.
   std::size_t grain = 1024;
-  // Reserved knob: every kernel is bit-identical across thread counts by
-  // construction, so this currently only documents intent. A future
-  // non-deterministic fast path (atomic reductions, work stealing) must
-  // check it before reordering any floating-point reduction.
-  bool deterministic = true;
 };
 
 class ExecutionContext {

@@ -162,6 +162,39 @@ TEST(GemmKernelTest, BitIdenticalAcrossThreadCountsPerKernel) {
   }
 }
 
+TEST(GemmKernelTest, GemmIntoSplitKAccumulateIsBitIdentical) {
+  // gemm_into on sub-matrices: k split into three consecutive accumulating
+  // calls must reproduce one whole-k call bit for bit, writing only the
+  // m x n window of a wider C (ldc > n).
+  Rng rng(91);
+  const std::int64_t m = 13, k = 29, n = 11, ldc = n + 5;
+  const std::int64_t splits[] = {0, 5, 17, k};
+  for (const GemmKernel kernel : available_kernels()) {
+    for (const auto& combo : kCombos) {
+      const Tensor a = make_operand_a(combo[0], m, k, rng);
+      const Tensor b = make_operand_b(combo[1], k, n, rng);
+      const Tensor whole = gemm(combo[0], combo[1], a, b, nullptr, kernel);
+      std::vector<float> c(static_cast<std::size_t>(m * ldc), -7.0f);
+      for (std::int64_t i = 0; i < m; ++i)
+        std::fill(c.begin() + i * ldc, c.begin() + i * ldc + n, 0.0f);
+      for (int s = 0; s < 3; ++s) {
+        const std::int64_t k0 = splits[s], kn = splits[s + 1] - k0;
+        const float* pa = combo[0] == Trans::kN ? a.data() + k0 : a.data() + k0 * m;
+        const float* pb = combo[1] == Trans::kN ? b.data() + k0 * n : b.data() + k0;
+        gemm_into(combo[0], combo[1], m, n, kn, pa, a.dim(1), pb, b.dim(1), c.data(),
+                  ldc, /*accumulate=*/true, nullptr, kernel);
+      }
+      for (std::int64_t i = 0; i < m; ++i) {
+        EXPECT_EQ(std::memcmp(c.data() + i * ldc, whole.data() + i * n,
+                              static_cast<std::size_t>(n) * sizeof(float)),
+                  0)
+            << gemm_kernel_name(kernel) << " row " << i;
+        for (std::int64_t j = n; j < ldc; ++j) EXPECT_EQ(c[i * ldc + j], -7.0f);
+      }
+    }
+  }
+}
+
 TEST(GemmKernelTest, ZeroTimesNanAndInfPropagateInEveryKernel) {
   const float nan = std::numeric_limits<float>::quiet_NaN();
   const float inf = std::numeric_limits<float>::infinity();
