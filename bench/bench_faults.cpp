@@ -12,18 +12,19 @@
 // written to BENCH_FAULTS.json for machine consumption.
 //
 // The second section benchmarks crash recovery: after a kill at `delta`
-// rounds past the last durable point, the old resume path reloads a full
-// checkpoint and *re-executes* the lost rounds (re-training included),
-// while the durable round store replays `delta` O(changed-state) WAL
-// records on top of its snapshot — bit-identical by construction. Rows go
-// to BENCH_RECOVERY.json; the gate (enforced in every mode, so the smoke
-// run guards CI) requires bit-identical recovery on every row and WAL
-// replay beating re-execution at the largest delta.
+// rounds past the last durable point, the store-less resume path reloads
+// the full state saved at that point and *re-executes* the lost rounds
+// (re-training included), while the durable round store replays `delta`
+// O(changed-state) WAL records on top of its snapshot — bit-identical by
+// construction. Rows go to BENCH_RECOVERY.json; the gate (enforced in
+// every mode, so the smoke run guards CI) requires bit-identical recovery
+// on every row and WAL replay beating re-execution at the largest delta.
 #include <chrono>
 #include <filesystem>
 
-#include "fl/durable.h"
+#include "store/io.h"
 #include "store/round_store.h"
+#include "util/error.h"
 #include "harness/experiment.h"
 
 namespace dinar::bench {
@@ -123,7 +124,7 @@ bool run_recovery_row(const DatasetCase& spec, int delta, bool require_speedup,
   // recovery does not treat the resume point as the finished run (which
   // would trigger the final-eval recompute the writer never reached).
   const int config_rounds = rounds + 1;
-  const std::string ckpt = dir + "/legacy.ckpt";
+  const std::string ckpt = dir + "/state.bin";
 
   std::vector<std::uint8_t> reference;
   std::uint64_t wal_bytes = 0;
@@ -133,9 +134,9 @@ bool run_recovery_row(const DatasetCase& spec, int delta, bool require_speedup,
     sim.attach_store(&store, snapshot_every);
     for (int r = 0; r < rounds; ++r) {
       sim.run_round();
-      // The pre-store resume path would have a full checkpoint from the
-      // same durable point the snapshot captures.
-      if (r + 1 == snapshot_every) sim.save_checkpoint(ckpt);
+      // The store-less resume path saves the full state at the same
+      // durable point the snapshot captures.
+      if (r + 1 == snapshot_every) store::atomic_write_file(ckpt, full_state_bytes(sim));
     }
     reference = full_state_bytes(sim);
     wal_bytes = store.wal_size_bytes();
@@ -159,11 +160,14 @@ bool run_recovery_row(const DatasetCase& spec, int delta, bool require_speedup,
                 recovered.size(), reference.size(), diff);
   }
 
-  // Full-reload path: load the checkpoint, re-execute the lost rounds
+  // Full-reload path: load the saved state, re-execute the lost rounds
   // (local training and all).
   fl::FederatedSimulation reloaded = make_recovery_sim(spec, config_rounds, threads);
   const auto t1 = std::chrono::steady_clock::now();
-  reloaded.restore_checkpoint(ckpt);
+  const auto saved = store::read_file(ckpt);
+  DINAR_CHECK(saved.has_value(), "no saved state at " << ckpt);
+  BinaryReader saved_reader(*saved);
+  reloaded.restore_full_state(saved_reader);
   for (int r = 0; r < delta; ++r) reloaded.run_round();
   const double rerun_s = seconds_since(t1);
 

@@ -1,6 +1,5 @@
 #include "fl/durable.h"
 
-#include "store/io.h"
 #include "util/error.h"
 
 namespace dinar::fl {
@@ -214,20 +213,6 @@ RoundRecord read_round_record(BinaryReader& r) {
   rec.personalized_test_accuracy = r.read_f64();
   rec.mean_client_train_accuracy = r.read_f64();
   return rec;
-}
-
-std::int64_t import_legacy_checkpoint(store::RoundStore& store,
-                                      const std::string& dckp_path) {
-  const auto bytes = store::read_file(dckp_path);
-  DINAR_CHECK(bytes.has_value(), "no checkpoint file at " << dckp_path);
-  BinaryReader r(*bytes);
-  DINAR_CHECK(r.remaining() >= 16 && r.read_u32() == kLegacyCheckpointMagic,
-              dckp_path << " is not a DCKP simulation checkpoint");
-  r.read_u32();  // version; restore_checkpoint() validates it on recovery
-  const std::int64_t round = r.read_i64();
-  DINAR_CHECK(round >= 0, "DCKP checkpoint claims negative round " << round);
-  store.install_snapshot(round, *bytes);
-  return round;
 }
 
 }  // namespace dinar::fl

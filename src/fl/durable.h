@@ -17,10 +17,9 @@
 //
 //  - Full-state snapshot ("DFST"): the complete simulation state the WAL
 //    records patch — server, all clients, both logs, all counters. The
-//    store compacts the WAL onto one of these periodically. A legacy DCKP
-//    checkpoint (global model + round only) is also accepted as a snapshot
-//    payload: recovery detects the magic and falls back to the
-//    server-only restore path.
+//    store compacts the WAL onto one of these periodically. It is also the
+//    one resume format outside the store (save_full_state written with
+//    store::atomic_write_file).
 //
 // All read_* functions validate lengths against the remaining buffer and
 // throw dinar::Error on malformed input; recovery treats such a throw as
@@ -39,7 +38,6 @@
 #include <cstdint>
 
 #include "fl/simulation.h"
-#include "store/round_store.h"
 
 namespace dinar::fl {
 
@@ -58,9 +56,6 @@ enum class WalRecordKind : std::uint8_t {
 // other unreadable state.
 inline constexpr std::uint32_t kFullStateMagic = 0x54534644;  // "DFST"
 inline constexpr std::uint32_t kFullStateVersion = 4;
-// Magic of the legacy monolithic checkpoint (simulation.cpp's DCKP),
-// re-declared here so recovery can sniff snapshot payloads.
-inline constexpr std::uint32_t kLegacyCheckpointMagic = 0x44434B50;  // "DCKP"
 
 // -- protocol-struct serde ---------------------------------------------------
 void write_round_outcome(BinaryWriter& w, const RoundOutcome& out);
@@ -77,13 +72,5 @@ TransportStats read_transport_stats(BinaryReader& r);
 
 void write_attack_stats(BinaryWriter& w, const AttackStats& s);
 AttackStats read_attack_stats(BinaryReader& r);
-
-// -- legacy import -----------------------------------------------------------
-// Installs a monolithic DCKP checkpoint file as the store's snapshot, so a
-// pre-store run can be continued under the durable protocol. Returns the
-// checkpoint's round (used as the snapshot label). Throws dinar::Error if
-// the file is missing or not a DCKP checkpoint.
-std::int64_t import_legacy_checkpoint(store::RoundStore& store,
-                                      const std::string& dckp_path);
 
 }  // namespace dinar::fl

@@ -14,7 +14,7 @@
 // fate of client A's messages is independent of whether client B shipped
 // before or after it. That makes the injector safe under the parallel
 // round protocol — concurrent per-client exchanges draw the identical
-// faults the sequential path would — and a checkpoint-resumed simulation
+// faults the sequential path would — and a resumed simulation
 // replays the identical fault schedule for the rounds it re-runs,
 // independent of how many random draws happened before the crash.
 //
@@ -23,7 +23,7 @@
 // upload adversarially crafted parameters — sign-flipping, model
 // replacement, Gaussian poisoning, or collusion on a shared malicious
 // target. Attacks are scheduled per (seed, round, client) exactly like
-// transport faults, so a checkpoint-resumed run replays the identical
+// transport faults, so a resumed run replays the identical
 // attack trace.
 #pragma once
 

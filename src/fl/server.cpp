@@ -67,7 +67,8 @@ void FlServer::aggregate(std::span<const ModelUpdateMsg> updates) {
     DINAR_CHECK(u.params.same_layout(global_),
                 "update from client " << u.client_id << " has wrong structure");
   }
-  apply_aggregate(updates);
+  commit_aggregate(
+      hierarchical_aggregate(*aggregator_, updates, global_, shard_config_, exec_));
 }
 
 UpdateVerdict FlServer::validate_update(const ModelUpdateMsg& update,
@@ -123,38 +124,6 @@ UpdateVerdict FlServer::validate_update(const ModelUpdateMsg& update,
   return UpdateVerdict{};
 }
 
-AggregateOutcome FlServer::try_aggregate(std::span<const ModelUpdateMsg> updates,
-                                         std::size_t min_valid) {
-  AggregateOutcome outcome;
-  std::vector<ModelUpdateMsg> valid;
-  std::unordered_set<int> accepted_ids;
-  std::optional<bool> weighting;
-  for (const ModelUpdateMsg& u : updates) {
-    const UpdateVerdict verdict = validate_update(u, accepted_ids, weighting);
-    if (verdict.accepted) {
-      accepted_ids.insert(u.client_id);
-      weighting = u.pre_weighted;
-      outcome.accepted.push_back(u.client_id);
-      valid.push_back(u);
-    } else {
-      outcome.quarantined.push_back({u.client_id, verdict.reason, verdict.detail});
-    }
-  }
-  if (valid.size() >= std::max<std::size_t>(1, min_valid)) {
-    outcome.aggregator_flags = aggregate_validated(valid);
-    outcome.shards = last_shard_stats_;
-    outcome.aggregated = true;
-  }
-  return outcome;
-}
-
-std::vector<AggregatorFlag> FlServer::aggregate_validated(
-    std::span<const ModelUpdateMsg> updates) {
-  DINAR_CHECK(!updates.empty(), "aggregate_validated called with no updates");
-  ScopedTimer timing(agg_timer_);
-  return apply_aggregate(updates);
-}
-
 void FlServer::begin_aggregation() {
   DINAR_CHECK(session_ == nullptr,
               "begin_aggregation with a streaming session already open");
@@ -172,7 +141,7 @@ std::vector<AggregatorFlag> FlServer::finalize_aggregation() {
   DINAR_CHECK(session_ != nullptr, "finalize_aggregation with no open session");
   DINAR_CHECK(session_->absorbed() > 0,
               "finalize_aggregation with no absorbed updates; use "
-              "abort_aggregation + carry_forward for an empty round");
+              "carry_forward for an empty round");
   ScopedTimer timing(agg_timer_);
   // Close the session before mutating server state: a combine() throw
   // (every shard empty) must leave the round un-advanced for carry-forward.
@@ -181,8 +150,6 @@ std::vector<AggregatorFlag> FlServer::finalize_aggregation() {
   return commit_aggregate(std::move(h));
 }
 
-void FlServer::abort_aggregation() { session_.reset(); }
-
 void FlServer::restore(std::int64_t round, nn::FlatParams params) {
   DINAR_CHECK(round >= 0, "checkpoint carries negative round " << round);
   DINAR_CHECK(params.same_layout(global_),
@@ -190,13 +157,6 @@ void FlServer::restore(std::int64_t round, nn::FlatParams params) {
   session_.reset();
   global_ = std::move(params);
   round_ = round;
-}
-
-std::vector<AggregatorFlag> FlServer::apply_aggregate(
-    std::span<const ModelUpdateMsg> updates) {
-  HierarchicalResult h =
-      hierarchical_aggregate(*aggregator_, updates, global_, shard_config_, exec_);
-  return commit_aggregate(std::move(h));
 }
 
 std::vector<AggregatorFlag> FlServer::commit_aggregate(HierarchicalResult h) {

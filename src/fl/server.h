@@ -2,15 +2,15 @@
 //
 // Two aggregation paths:
 //  - aggregate(): the strict seed path — any malformed update throws and
-//    aborts the round (used by trusted in-process experiments);
-//  - validate_update() / try_aggregate() / carry_forward(): the hardened
-//    path behind the fault-tolerant round protocol. Every incoming update
-//    is checked (round match, structure match against the global model,
-//    NaN/Inf scan, positive sample count, consistent weighting convention,
-//    duplicate-client rejection) and invalid ones are quarantined with a
-//    reason instead of throwing; aggregation proceeds once a quorum of
-//    valid updates is available, and a round with no quorum carries the
-//    previous global model forward as a degraded-but-live round.
+//    aborts the round (used by trusted in-process experiments and benches);
+//  - the hardened path behind the fault-tolerant round protocol:
+//    validate_update() checks every incoming update (round match,
+//    structure match against the global model, NaN/Inf scan, positive
+//    sample count, consistent weighting convention, duplicate-client
+//    rejection) so invalid ones are quarantined with a reason instead of
+//    throwing; accepted updates stream into the aggregation session
+//    (below), and a round with no quorum carries the previous global
+//    model forward (carry_forward()) as a degraded-but-live round.
 //
 // Aggregation itself is pluggable (set_aggregator): the default is the
 // seed's plain FedAvg; Byzantine-robust strategies (coordinate-wise
@@ -30,7 +30,7 @@
 // absorb_validated() / finalize_aggregation() — so each validated update
 // folds into its shard the moment its exchange commits instead of waiting
 // for the round barrier. finalize_aggregation() is bit-identical to
-// aggregate_validated() over the same updates in absorb order.
+// aggregate() over the same updates in absorb order.
 #pragma once
 
 #include <memory>
@@ -63,23 +63,6 @@ struct UpdateVerdict {
   bool accepted = true;
   RejectReason reason = RejectReason::kWrongRound;
   std::string detail;  // human-readable, names the offending field/tensor
-};
-
-struct AggregateOutcome {
-  struct Rejection {
-    int client_id = 0;
-    RejectReason reason = RejectReason::kWrongRound;
-    std::string detail;
-  };
-  std::vector<int> accepted;
-  std::vector<Rejection> quarantined;
-  // Per-client aggregator treatment (Krum exclusion, norm clipping,
-  // outlier-screen quarantine) for the updates that passed validation.
-  std::vector<AggregatorFlag> aggregator_flags;
-  // Per-shard statistics from the aggregation tree (one entry per shard,
-  // empty shards included); empty when no aggregation ran.
-  std::vector<ShardStats> shards;
-  bool aggregated = false;  // quorum met; the global model advanced
 };
 
 class FlServer {
@@ -121,18 +104,6 @@ class FlServer {
                                 const std::unordered_set<int>& accepted_ids,
                                 std::optional<bool> weighting) const;
 
-  // Validates every update, quarantining invalid ones; aggregates and
-  // advances the round iff at least max(1, min_valid) updates survive.
-  // Spans only (see aggregate()).
-  AggregateOutcome try_aggregate(std::span<const ModelUpdateMsg> updates,
-                                 std::size_t min_valid);
-
-  // Aggregates updates the caller has already validated (they must all
-  // pass validate_update against the current round). Advances the round.
-  // Returns the aggregator's per-client flags (empty under plain FedAvg).
-  std::vector<AggregatorFlag> aggregate_validated(
-      std::span<const ModelUpdateMsg> updates);
-
   // -- streaming session (event-driven round pipeline, DESIGN.md §13) ------
   // Opens an incremental aggregation over the current global model and
   // shard configuration: one ShardAccumulator per shard. At most one
@@ -150,17 +121,11 @@ class FlServer {
   void absorb_validated(const ModelUpdateMsg& update);
 
   // Closes the shard accumulators, runs the root combine, the defense, and
-  // advances the round — bit-identical to aggregate_validated() over the
-  // absorbed updates in absorb order. Throws (leaving the session closed
-  // and the round NOT advanced) when every shard stayed empty; requires at
-  // least one absorb. Returns the aggregator's per-client flags.
+  // advances the round — bit-identical to aggregate() over the absorbed
+  // updates in absorb order. Throws (leaving the session closed and the
+  // round NOT advanced) when every shard stayed empty; requires at least
+  // one absorb. Returns the aggregator's per-client flags.
   std::vector<AggregatorFlag> finalize_aggregation();
-
-  // Abandons an open session without advancing the round (the no-quorum /
-  // carry-forward path). Safe to call with no session open.
-  void abort_aggregation();
-
-  bool aggregation_open() const { return session_ != nullptr; }
 
   // Installs a Byzantine-robust aggregation strategy; the default is the
   // seed's plain FedAvg. Takes effect from the next aggregation. The
@@ -201,7 +166,7 @@ class FlServer {
     ++round_;
   }
 
-  // Checkpoint resume: installs a saved global model and round counter.
+  // Resume: installs a saved global model and round counter.
   void restore(std::int64_t round, nn::FlatParams params);
 
   // Wall-clock spent inside aggregate() (Table 3's server-side metric).
@@ -209,9 +174,6 @@ class FlServer {
   ServerDefense& defense() { return *defense_; }
 
  private:
-  // Shared aggregation core; assumes updates are structurally valid.
-  // Returns the aggregator's per-client flags.
-  std::vector<AggregatorFlag> apply_aggregate(std::span<const ModelUpdateMsg> updates);
   // Installs an aggregation tree result (batch or streaming): defense,
   // global model, stats, timings, round advance.
   std::vector<AggregatorFlag> commit_aggregate(HierarchicalResult h);

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <chrono>
-#include <fstream>
-#include <iterator>
 #include <map>
 #include <numeric>
 #include <optional>
@@ -13,7 +11,6 @@
 
 #include "fl/durable.h"
 #include "fl/socket_transport.h"
-#include "store/io.h"
 #include "store/round_store.h"
 #include "util/crashpoint.h"
 #include "util/error.h"
@@ -21,11 +18,6 @@
 
 namespace dinar::fl {
 namespace {
-
-constexpr std::uint32_t kCheckpointMagic = 0x44434B50;  // "DCKP"
-// v1: tensor-list payload (pre-FlatParams). v2: flat index + arena payload.
-constexpr std::uint32_t kCheckpointVersionLegacy = 1;
-constexpr std::uint32_t kCheckpointVersion = 2;
 
 double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
@@ -219,7 +211,7 @@ std::vector<std::size_t> FederatedSimulation::select_participants(std::int64_t r
   // Client selection (paper §2.1): the server picks a fraction of the
   // *current* roster for this round. The stream is forked from
   // (seed, round) rather than drawn sequentially, and the roster is a pure
-  // function of (churn config, round), so a checkpoint-resumed run
+  // function of (churn config, round), so a resumed run
   // re-selects the identical participant sets even as clients join and
   // leave.
   std::vector<std::size_t> roster = roster_at(round);
@@ -237,20 +229,83 @@ std::vector<std::size_t> FederatedSimulation::select_participants(std::int64_t r
   return participants;
 }
 
-const RoundOutcome& FederatedSimulation::run_round() {
-  const auto round_t0 = std::chrono::steady_clock::now();
-  const std::int64_t round = server_->round();
-  FaultInjector* faults = transport_->faults();
-  if (faults != nullptr) faults->begin_round(round);
-  if (adversary_ != nullptr) adversary_->begin_round(round);
-  const FaultStats fault_before = faults != nullptr ? faults->stats() : FaultStats{};
+// One client's exchange in one attempt: what its task produced, for the
+// coordinator to commit.
+struct FederatedSimulation::Exchange {
+  struct Arrival {
+    bool ok = false;
+    ModelUpdateMsg msg;          // parsed update when ok
+    std::string corrupt_reason;  // frame/parse failure when !ok
+  };
+  bool got_global = false;
+  bool attacked = false;
+  std::vector<Arrival> arrivals;
+  ShipReceipt receipt;
+  double downlink_seconds = 0.0;  // timing only, summed at commit
+  double train_seconds = 0.0;
+  double uplink_seconds = 0.0;
+};
 
-  // Durable operation: remember the pre-round global arena (the XOR-delta
-  // base of this round's WAL record).
+// Everything one round carries from stage to stage. Coordinator-owned:
+// exchange tasks only read it (each writes only its own Exchange).
+struct FederatedSimulation::RoundState {
+  std::chrono::steady_clock::time_point t0;
+  std::int64_t round = 0;
+  FaultInjector* faults = nullptr;
+  FaultStats fault_before;
+  // Durable operation: the pre-round global arena (the XOR-delta base of
+  // this round's WAL record).
   nn::FlatParams prev_global;
-  if (store_ != nullptr) prev_global = server_->global_params();
-
   RoundOutcome out;
+
+  // Live participants still owing an accepted update, and the clients
+  // whose cross-round state (training RNG, personalized model, defense)
+  // this round may advance — every live participant, including ones later
+  // quarantined or lost (their local training still ran).
+  std::vector<std::size_t> pending;
+  std::vector<std::size_t> touched;
+  std::size_t quorum = 0;
+
+  GlobalModelMsg broadcast_msg;
+  std::vector<std::uint8_t> broadcast_bytes;
+  bool codec_active = false;
+  std::uint64_t broadcast_uncoded_bytes = 0;
+  // The server's decode of its own broadcast, the reference a sparse
+  // update codec codes deltas against (null for dense updates).
+  nn::FlatParams update_reference;
+  const nn::FlatParams* update_ref = nullptr;
+
+  std::vector<ModelUpdateMsg> accepted;
+  std::unordered_set<int> accepted_ids;
+  std::optional<bool> weighting;
+  // Last failure mode per still-pending client: 'd' = no intact broadcast,
+  // 'u' = no upload copy arrived, 'q' = arrived but quarantined.
+  std::map<std::size_t, char> fail_mode;
+  // The clients the current attempt's commits leave pending for the next.
+  std::vector<std::size_t> still_pending;
+};
+
+const RoundOutcome& FederatedSimulation::run_round() {
+  RoundState st = select_round();
+  prepare_downlink(st);
+  run_exchanges(st);
+  finalize_round(st);
+  prefetch_next_broadcast();
+  return persist_round(st);
+}
+
+FederatedSimulation::RoundState FederatedSimulation::select_round() {
+  RoundState st;
+  st.t0 = std::chrono::steady_clock::now();
+  st.round = server_->round();
+  const std::int64_t round = st.round;
+  st.faults = transport_->faults();
+  if (st.faults != nullptr) st.faults->begin_round(round);
+  if (adversary_ != nullptr) adversary_->begin_round(round);
+  if (st.faults != nullptr) st.fault_before = st.faults->stats();
+  if (store_ != nullptr) st.prev_global = server_->global_params();
+
+  RoundOutcome& out = st.out;
   out.round = round;
   out.aggregator = server_->aggregator().name();
 
@@ -272,44 +327,37 @@ const RoundOutcome& FederatedSimulation::run_round() {
   for (std::size_t i : participants) out.selected.push_back(static_cast<int>(i));
 
   // Crashed clients are unreachable for the whole round.
-  std::vector<std::size_t> pending;
   for (std::size_t i : participants) {
-    if (faults != nullptr && faults->is_crashed(static_cast<int>(i))) {
-      faults->record_crashed_contact();
+    if (st.faults != nullptr && st.faults->is_crashed(static_cast<int>(i))) {
+      st.faults->record_crashed_contact();
       out.crashed.push_back(static_cast<int>(i));
     } else {
-      pending.push_back(i);
+      st.pending.push_back(i);
     }
   }
+  const std::size_t live = st.pending.size();
+  st.quorum = config_.min_clients == 0 ? live : std::min(config_.min_clients, live);
+  st.touched = st.pending;
+  return st;
+}
 
-  const std::size_t live = pending.size();
-  const std::size_t quorum =
-      config_.min_clients == 0 ? live : std::min(config_.min_clients, live);
-  // Clients whose cross-round state (training RNG, personalized model,
-  // defense) this round may advance — every live participant, including
-  // ones later quarantined or lost (their local training still ran).
-  const std::vector<std::size_t> touched = pending;
-
-  // Downlink payload: reuse the bytes the previous round's prefetch
-  // serialized in the straggler tail's shadow (stream mode), or serialize
-  // now. Either way the content is a pure function of the committed server
-  // state, so the rounds are bit-identical.
-  GlobalModelMsg broadcast_msg;
-  std::vector<std::uint8_t> broadcast_bytes;
-  {
-    const auto t0 = std::chrono::steady_clock::now();
-    if (prefetch_ != nullptr && prefetch_->round == round) {
-      join_prefetch();
-      broadcast_msg = std::move(prefetch_->msg);
-      broadcast_bytes = std::move(prefetch_->bytes);
-      prefetch_.reset();
-    } else {
-      invalidate_prefetch();
-      broadcast_msg = server_->broadcast();
-      broadcast_bytes = server_->serialize_broadcast(broadcast_msg);
-    }
-    out.timings.downlink_seconds += seconds_since(t0);
+void FederatedSimulation::prepare_downlink(RoundState& st) {
+  // Reuse the bytes the previous round's prefetch serialized in the
+  // straggler tail's shadow, or serialize now. Either way the content is a
+  // pure function of the committed server state, so the rounds are
+  // bit-identical.
+  const auto t0 = std::chrono::steady_clock::now();
+  if (prefetch_ != nullptr && prefetch_->round == st.round) {
+    join_prefetch();
+    st.broadcast_msg = std::move(prefetch_->msg);
+    st.broadcast_bytes = std::move(prefetch_->bytes);
+    prefetch_.reset();
+  } else {
+    invalidate_prefetch();
+    st.broadcast_msg = server_->broadcast();
+    st.broadcast_bytes = server_->serialize_broadcast(st.broadcast_msg);
   }
+  st.out.timings.downlink_seconds += seconds_since(t0);
 
   // Wire codec (DESIGN.md §14): a sparse update codec codes deltas against
   // the round's broadcast AS DECODED. The server decodes its own broadcast
@@ -317,215 +365,191 @@ const RoundOutcome& FederatedSimulation::run_round() {
   // decoded, even under a lossy broadcast codec — and the exchange tasks
   // read it concurrently. The uncoded (v2-equivalent) sizes feed the
   // bytes-saved counters, accounted per delivered copy like bytes_up/down.
-  const bool codec_active = config_.codec.active();
-  nn::FlatParams update_reference;
-  const nn::FlatParams* update_ref = nullptr;
+  st.codec_active = config_.codec.active();
   if (config_.codec.update.topk_fraction < 1.0) {
-    const auto t0 = std::chrono::steady_clock::now();
-    update_reference = GlobalModelMsg::deserialize(broadcast_bytes).params;
-    update_ref = &update_reference;
-    out.timings.downlink_seconds += seconds_since(t0);
+    const auto d0 = std::chrono::steady_clock::now();
+    st.update_reference = GlobalModelMsg::deserialize(st.broadcast_bytes).params;
+    st.update_ref = &st.update_reference;
+    st.out.timings.downlink_seconds += seconds_since(d0);
   }
-  const std::uint64_t broadcast_uncoded_bytes =
-      codec_active ? v2_wire_bytes(broadcast_msg) : 0;
+  if (st.codec_active) st.broadcast_uncoded_bytes = v2_wire_bytes(st.broadcast_msg);
+}
 
+void FederatedSimulation::run_exchanges(RoundState& st) {
   // The streaming engine opens the shard accumulators up front so every
   // accepted update can fold in at commit time; validate_update still
   // checks the current round, which only advances at finalize.
   server_->begin_aggregation();
 
-  std::vector<ModelUpdateMsg> accepted;
-  std::unordered_set<int> accepted_ids;
-  std::optional<bool> weighting;
-  // Last failure mode per still-pending client: 'd' = no intact broadcast,
-  // 'u' = no upload copy arrived, 'q' = arrived but quarantined.
-  std::map<std::size_t, char> fail_mode;
-
   const double round_start_clock = transport_->stats().simulated_latency_seconds;
   const int max_attempts = 1 + config_.max_retries;
-  for (int attempt = 0; attempt < max_attempts && !pending.empty(); ++attempt) {
+  for (int attempt = 0; attempt < max_attempts && !st.pending.empty(); ++attempt) {
     if (attempt > 0) {
-      out.retries_used = attempt;
+      st.out.retries_used = attempt;
       transport_->add_latency(config_.retry_backoff_seconds * attempt);
     }
-    // ---- exchange tasks: every pending client's exchange is an isolated
-    // unit of work — downlink, local training, attack, uplink. All
-    // randomness is keyed by (seed, round, client), and all transport /
-    // fault accounting is deferred into the per-client receipt, so the
-    // tasks touch no shared mutable state and their schedule cannot affect
-    // the outcome.
-    struct Arrival {
-      bool ok = false;
-      ModelUpdateMsg msg;          // parsed update when ok
-      std::string corrupt_reason;  // frame/parse failure when !ok
-    };
-    struct Exchange {
-      bool got_global = false;
-      bool attacked = false;
-      std::vector<Arrival> arrivals;
-      ShipReceipt receipt;
-      double downlink_seconds = 0.0;  // timing only, summed at commit
-      double train_seconds = 0.0;
-      double uplink_seconds = 0.0;
-    };
-    std::vector<Exchange> exchanges(pending.size());
-    const auto task = [&](std::size_t idx) {
-      const std::size_t i = pending[idx];
-      const int id = static_cast<int>(i);
-      Exchange& ex = exchanges[idx];
-
-      // ---- downlink: the client needs one intact copy of the broadcast.
-      const auto d0 = std::chrono::steady_clock::now();
-      const auto down_copies =
-          transport_->ship(LinkDir::kDown, id, broadcast_bytes, &ex.receipt);
-      if (codec_active)
-        ex.receipt.transport.bytes_down_uncoded +=
-            down_copies.size() * broadcast_uncoded_bytes;
-      for (const auto& copy : down_copies) {
-        try {
-          clients_[i].receive_global(
-              GlobalModelMsg::deserialize(Transport::open(copy)));
-          ex.got_global = true;
-          break;  // further copies are duplicates of the same broadcast
-        } catch (const Error&) {
-          // Corrupted broadcast copy: the client discards it and waits for
-          // the next retry.
-        }
-      }
-      ex.downlink_seconds = seconds_since(d0);
-      if (!ex.got_global) return;
-
-      // ---- local training.
-      const auto t0 = std::chrono::steady_clock::now();
-      ModelUpdateMsg update = clients_[i].train_round();
-      // Byzantine clients train honestly, then swap in the attack payload
-      // (they know the broadcast model like everyone else). The payload is
-      // well-formed on purpose: it must be caught by robust aggregation,
-      // not by the validity checks.
-      if (adversary_ != nullptr && adversary_->is_attacker(id)) {
-        adversary_->corrupt_update(broadcast_msg.params, update);
-        ex.attacked = true;
-      }
-      ex.train_seconds = seconds_since(t0);
-
-      // Wall-clock straggler: burn real time before the upload. No
-      // accounting, no randomness — purely the tail the streaming pipeline
-      // overlaps. Excluded from phase timers.
-      if (faults != nullptr) {
-        const double wall = faults->straggler_wall_seconds(id);
-        if (wall > 0.0)
-          std::this_thread::sleep_for(std::chrono::duration<double>(wall));
-      }
-
-      // ---- uplink. The client serializes under the update codec (its
-      // retained broadcast decode supplies the sparse reference); arrivals
-      // decode against the server's own reference computed above.
-      const auto u0 = std::chrono::steady_clock::now();
-      const auto up_copies = transport_->ship(
-          LinkDir::kUp, id, clients_[i].serialize_update(update), &ex.receipt);
-      if (codec_active)
-        ex.receipt.transport.bytes_up_uncoded +=
-            up_copies.size() * v2_wire_bytes(update);
-      for (const auto& copy : up_copies) {
-        Arrival arrival;
-        try {
-          arrival.msg = ModelUpdateMsg::deserialize(Transport::open(copy), update_ref);
-          arrival.ok = true;
-        } catch (const Error& e) {
-          arrival.corrupt_reason = std::string("corrupt: ") + e.what();
-        }
-        ex.arrivals.push_back(std::move(arrival));
-      }
-      ex.uplink_seconds = seconds_since(u0);
-    };
-
-    // ---- commits: every order-sensitive step (stats sums, validation,
-    // acceptance, shard absorb) runs strictly in ascending client-id
-    // order on the coordinator — identical for any thread count, which
-    // only changes *when* each commit runs relative to the remaining
-    // tasks, never its inputs.
-    std::vector<std::size_t> still_pending;
-    const auto commit = [&](std::size_t idx) {
-      const std::size_t i = pending[idx];
-      const int id = static_cast<int>(i);
-      Exchange& ex = exchanges[idx];
-      const auto c0 = std::chrono::steady_clock::now();
-      transport_->commit(ex.receipt);
-      out.timings.downlink_seconds += ex.downlink_seconds;
-      out.timings.train_seconds += ex.train_seconds;
-      out.timings.uplink_seconds += ex.uplink_seconds;
-
-      if (!ex.got_global) {
-        fail_mode[i] = 'd';
-        still_pending.push_back(i);
-        out.timings.commit_seconds += seconds_since(c0);
-        return;
-      }
-      if (ex.attacked && std::find(out.attackers.begin(), out.attackers.end(), id) ==
-                             out.attackers.end())
-        out.attackers.push_back(id);
-      out.timings.commit_seconds += seconds_since(c0);
-
-      bool update_accepted = false;
-      const bool any_arrived = !ex.arrivals.empty();
-      for (Arrival& arrival : ex.arrivals) {
-        if (!arrival.ok) {
-          out.quarantined.push_back({id, arrival.corrupt_reason});
-          continue;
-        }
-        const auto v0 = std::chrono::steady_clock::now();
-        const UpdateVerdict verdict =
-            server_->validate_update(arrival.msg, accepted_ids, weighting);
-        out.timings.validate_seconds += seconds_since(v0);
-        if (verdict.accepted) {
-          weighting = arrival.msg.pre_weighted;
-          accepted_ids.insert(arrival.msg.client_id);
-          // The update folds into its shard's accumulator now, while later
-          // clients' exchanges are still in flight.
-          server_->absorb_validated(arrival.msg);
-          accepted.push_back(std::move(arrival.msg));
-          update_accepted = true;
-        } else {
-          out.quarantined.push_back({id, verdict.detail});
-        }
-      }
-      if (update_accepted) {
-        fail_mode.erase(i);
-      } else {
-        fail_mode[i] = any_arrived ? 'q' : 'u';
-        still_pending.push_back(i);
-      }
-    };
-
-    RoundPipeline(pipeline_mode_, exec_.get()).run(pending.size(), task, commit);
-    pending = std::move(still_pending);
-    if (accepted.size() >= quorum) break;
+    std::vector<Exchange> exchanges(st.pending.size());
+    st.still_pending.clear();
+    RoundPipeline(pipeline_mode_, exec_.get())
+        .run(
+            st.pending.size(),
+            [&](std::size_t idx) { exchange_task(st, st.pending[idx], exchanges[idx]); },
+            [&](std::size_t idx) { commit_exchange(st, st.pending[idx], exchanges[idx]); });
+    st.pending = std::move(st.still_pending);
+    if (st.accepted.size() >= st.quorum) break;
     if (config_.round_deadline_seconds > 0.0 &&
         transport_->stats().simulated_latency_seconds - round_start_clock >=
             config_.round_deadline_seconds)
       break;
   }
+}
 
-  for (std::size_t i : pending) {
-    const char mode = fail_mode.count(i) != 0 ? fail_mode[i] : 'u';
+// Every pending client's exchange is an isolated unit of work — downlink,
+// local training, attack, uplink. All randomness is keyed by (seed, round,
+// client), and all transport / fault accounting is deferred into the
+// per-client receipt, so the tasks touch no shared mutable state and their
+// schedule cannot affect the outcome.
+void FederatedSimulation::exchange_task(const RoundState& st, std::size_t i,
+                                        Exchange& ex) {
+  const int id = static_cast<int>(i);
+
+  // ---- downlink: the client needs one intact copy of the broadcast.
+  const auto d0 = std::chrono::steady_clock::now();
+  const auto down_copies =
+      transport_->ship(LinkDir::kDown, id, st.broadcast_bytes, &ex.receipt);
+  if (st.codec_active)
+    ex.receipt.transport.bytes_down_uncoded +=
+        down_copies.size() * st.broadcast_uncoded_bytes;
+  for (const auto& copy : down_copies) {
+    try {
+      clients_[i].receive_global(GlobalModelMsg::deserialize(Transport::open(copy)));
+      ex.got_global = true;
+      break;  // further copies are duplicates of the same broadcast
+    } catch (const Error&) {
+      // Corrupted broadcast copy: the client discards it and waits for the
+      // next retry.
+    }
+  }
+  ex.downlink_seconds = seconds_since(d0);
+  if (!ex.got_global) return;
+
+  // ---- local training.
+  const auto t0 = std::chrono::steady_clock::now();
+  ModelUpdateMsg update = clients_[i].train_round();
+  // Byzantine clients train honestly, then swap in the attack payload
+  // (they know the broadcast model like everyone else). The payload is
+  // well-formed on purpose: it must be caught by robust aggregation, not
+  // by the validity checks.
+  if (adversary_ != nullptr && adversary_->is_attacker(id)) {
+    adversary_->corrupt_update(st.broadcast_msg.params, update);
+    ex.attacked = true;
+  }
+  ex.train_seconds = seconds_since(t0);
+
+  // Wall-clock straggler: burn real time before the upload. No accounting,
+  // no randomness — purely the tail the streaming pipeline overlaps.
+  // Excluded from phase timers.
+  if (st.faults != nullptr) {
+    const double wall = st.faults->straggler_wall_seconds(id);
+    if (wall > 0.0) std::this_thread::sleep_for(std::chrono::duration<double>(wall));
+  }
+
+  // ---- uplink. The client serializes under the update codec (its
+  // retained broadcast decode supplies the sparse reference); arrivals
+  // decode against the server's own reference from prepare_downlink.
+  const auto u0 = std::chrono::steady_clock::now();
+  const auto up_copies = transport_->ship(
+      LinkDir::kUp, id, clients_[i].serialize_update(update), &ex.receipt);
+  if (st.codec_active)
+    ex.receipt.transport.bytes_up_uncoded += up_copies.size() * v2_wire_bytes(update);
+  for (const auto& copy : up_copies) {
+    Exchange::Arrival arrival;
+    try {
+      arrival.msg = ModelUpdateMsg::deserialize(Transport::open(copy), st.update_ref);
+      arrival.ok = true;
+    } catch (const Error& e) {
+      arrival.corrupt_reason = std::string("corrupt: ") + e.what();
+    }
+    ex.arrivals.push_back(std::move(arrival));
+  }
+  ex.uplink_seconds = seconds_since(u0);
+}
+
+// Every order-sensitive step (stats sums, validation, acceptance, shard
+// absorb) runs here, strictly in ascending client-id order on the
+// coordinator — identical for any thread count, which only changes *when*
+// each commit runs relative to the remaining tasks, never its inputs.
+void FederatedSimulation::commit_exchange(RoundState& st, std::size_t i, Exchange& ex) {
+  const int id = static_cast<int>(i);
+  RoundOutcome& out = st.out;
+  const auto c0 = std::chrono::steady_clock::now();
+  transport_->commit(ex.receipt);
+  out.timings.downlink_seconds += ex.downlink_seconds;
+  out.timings.train_seconds += ex.train_seconds;
+  out.timings.uplink_seconds += ex.uplink_seconds;
+
+  if (!ex.got_global) {
+    st.fail_mode[i] = 'd';
+    st.still_pending.push_back(i);
+    out.timings.commit_seconds += seconds_since(c0);
+    return;
+  }
+  if (ex.attacked &&
+      std::find(out.attackers.begin(), out.attackers.end(), id) == out.attackers.end())
+    out.attackers.push_back(id);
+  out.timings.commit_seconds += seconds_since(c0);
+
+  bool update_accepted = false;
+  for (Exchange::Arrival& arrival : ex.arrivals) {
+    if (!arrival.ok) {
+      out.quarantined.push_back({id, arrival.corrupt_reason});
+      continue;
+    }
+    const auto v0 = std::chrono::steady_clock::now();
+    const UpdateVerdict verdict =
+        server_->validate_update(arrival.msg, st.accepted_ids, st.weighting);
+    out.timings.validate_seconds += seconds_since(v0);
+    if (verdict.accepted) {
+      st.weighting = arrival.msg.pre_weighted;
+      st.accepted_ids.insert(arrival.msg.client_id);
+      // The update folds into its shard's accumulator now, while later
+      // clients' exchanges are still in flight.
+      server_->absorb_validated(arrival.msg);
+      st.accepted.push_back(std::move(arrival.msg));
+      update_accepted = true;
+    } else {
+      out.quarantined.push_back({id, verdict.detail});
+    }
+  }
+  if (update_accepted) {
+    st.fail_mode.erase(i);
+  } else {
+    st.fail_mode[i] = ex.arrivals.empty() ? 'u' : 'q';
+    st.still_pending.push_back(i);
+  }
+}
+
+void FederatedSimulation::finalize_round(RoundState& st) {
+  RoundOutcome& out = st.out;
+  for (std::size_t i : st.pending) {
+    const auto it = st.fail_mode.find(i);
+    const char mode = it != st.fail_mode.end() ? it->second : 'u';
     if (mode == 'd') out.missed_broadcast.push_back(static_cast<int>(i));
     else if (mode == 'u') out.lost_update.push_back(static_cast<int>(i));
     // 'q': already listed under quarantined.
   }
 
-  out.accepted.reserve(accepted.size());
-  for (const ModelUpdateMsg& u : accepted) out.accepted.push_back(u.client_id);
-  out.quorum_met = !accepted.empty() && accepted.size() >= quorum;
+  out.accepted.reserve(st.accepted.size());
+  for (const ModelUpdateMsg& u : st.accepted) out.accepted.push_back(u.client_id);
+  out.quorum_met = !st.accepted.empty() && st.accepted.size() >= st.quorum;
   if (out.quorum_met) {
     // Every accepted update was absorbed at commit time; finalize closes
-    // the shard accumulators and runs the root combine — bit-identical to
-    // batch aggregation over the same updates in absorb order
-    // (ShardAccumulator's contract).
+    // the shard accumulators and runs the root combine.
     out.aggregator_flags = server_->finalize_aggregation();
     out.shards = server_->last_shard_stats();
     out.timings.shard_seconds = server_->last_aggregate_timings().shard_seconds;
     out.timings.combine_seconds = server_->last_aggregate_timings().combine_seconds;
-    last_updates_ = std::move(accepted);
+    last_updates_ = std::move(st.accepted);
   } else {
     // Degraded-but-live round: no quorum of valid updates arrived within
     // the retry budget, so the previous global model survives unchanged.
@@ -533,92 +557,50 @@ const RoundOutcome& FederatedSimulation::run_round() {
     server_->carry_forward();
     out.carried_forward = true;
     last_updates_.clear();
-    DINAR_INFO << "round " << round << " carried forward: " << accepted.size()
-               << "/" << quorum << " valid updates after " << out.retries_used
+    DINAR_INFO << "round " << st.round << " carried forward: " << st.accepted.size()
+               << "/" << st.quorum << " valid updates after " << out.retries_used
                << " retries";
   }
-  if (faults != nullptr)
-    out.fault_delta = fault_stats_delta(faults->stats(), fault_before);
+  if (st.faults != nullptr)
+    out.fault_delta = fault_stats_delta(st.faults->stats(), st.fault_before);
+}
 
+void FederatedSimulation::prefetch_next_broadcast() {
   // Cross-round overlap: the server state for round N+1 is final, so the
   // next broadcast's serialization can run on the pool while this thread
   // fsyncs the WAL record, compacts snapshots, or evaluates. The model
   // copy happens here on the coordinator (the worker must not touch live
   // server state); join_prefetch() at the next round start (or any restore
   // path) synchronizes before the bytes are read.
-  {
-    invalidate_prefetch();
-    prefetch_ = std::make_shared<BroadcastPrefetch>();
-    prefetch_->msg = server_->broadcast();
-    prefetch_->round = server_->round();
-    const std::shared_ptr<BroadcastPrefetch> p = prefetch_;
-    // The codec is captured by value: the worker must not touch live
-    // server state, and the codec never changes after construction.
-    const KindCodec broadcast_codec = config_.codec.broadcast;
-    prefetch_->done = exec_->submit(
-        [p, broadcast_codec] { p->bytes = p->msg.serialize(broadcast_codec); });
-  }
+  invalidate_prefetch();
+  prefetch_ = std::make_shared<BroadcastPrefetch>();
+  prefetch_->msg = server_->broadcast();
+  prefetch_->round = server_->round();
+  const std::shared_ptr<BroadcastPrefetch> p = prefetch_;
+  // The codec is captured by value: the worker must not touch live server
+  // state, and the codec never changes after construction.
+  const KindCodec broadcast_codec = config_.codec.broadcast;
+  prefetch_->done =
+      exec_->submit([p, broadcast_codec] { p->bytes = p->msg.serialize(broadcast_codec); });
+}
 
+const RoundOutcome& FederatedSimulation::persist_round(RoundState& st) {
   const auto w0 = std::chrono::steady_clock::now();
-  round_log_.push_back(std::move(out));
-
+  round_log_.push_back(std::move(st.out));
   if (store_ != nullptr) {
     // In-memory state is committed; a crash before the WAL append loses
     // the round, and recovery re-runs it bit-identically (all round
     // randomness is keyed by (seed, round); all sequential streams are in
     // the previous record).
     crashpoint("round.commit.mid");
-    append_round_to_store(round_log_.back(), prev_global, touched);
+    append_round_to_store(round_log_.back(), st.prev_global, st.touched);
     crashpoint("round.commit.post_append");
     maybe_snapshot();
   }
-  round_log_.back().timings.commit_seconds += seconds_since(w0);
-  round_log_.back().timings.round_seconds = seconds_since(round_t0);
+  RoundPhaseTimings& timings = round_log_.back().timings;
+  timings.commit_seconds += seconds_since(w0);
+  timings.round_seconds = seconds_since(st.t0);
   return round_log_.back();
-}
-
-void FederatedSimulation::save_checkpoint(BinaryWriter& w) const {
-  w.write_u32(kCheckpointMagic);
-  w.write_u32(kCheckpointVersion);
-  w.write_i64(server_->round());
-  nn::write_flat_params(w, server_->global_params());
-}
-
-void FederatedSimulation::save_checkpoint(const std::string& path) const {
-  BinaryWriter w;
-  save_checkpoint(w);
-  store::atomic_write_file(path, w.buffer(), "checkpoint");
-}
-
-void FederatedSimulation::restore_checkpoint(BinaryReader& r) {
-  invalidate_prefetch();
-  DINAR_CHECK(r.read_u32() == kCheckpointMagic, "not a simulation checkpoint");
-  const std::uint32_t version = r.read_u32();
-  DINAR_CHECK(version == kCheckpointVersionLegacy || version == kCheckpointVersion,
-              "unsupported checkpoint version " << version);
-  const std::int64_t round = r.read_i64();
-  nn::FlatParams params = version == kCheckpointVersionLegacy
-                              ? nn::read_legacy_tensor_params(r)
-                              : nn::read_flat_params(r);
-  DINAR_CHECK(r.exhausted(), "trailing bytes in simulation checkpoint");
-  DINAR_CHECK(round <= config_.rounds, "checkpoint round " << round
-                                                           << " exceeds configured "
-                                                           << config_.rounds);
-  for (const FlClient& c : clients_)
-    DINAR_CHECK(c.round() <= round,
-                "client " << c.id() << " is already past checkpoint round " << round
-                          << "; restore into a freshly constructed simulation");
-  server_->restore(round, std::move(params));
-  last_updates_.clear();
-}
-
-void FederatedSimulation::restore_checkpoint(const std::string& path) {
-  std::ifstream f(path, std::ios::binary);
-  DINAR_CHECK(f.good(), "cannot open checkpoint file " << path);
-  std::vector<std::uint8_t> bytes((std::istreambuf_iterator<char>(f)),
-                                  std::istreambuf_iterator<char>());
-  BinaryReader r(bytes);
-  restore_checkpoint(r);
 }
 
 // -- durable round store ------------------------------------------------------
@@ -759,6 +741,7 @@ void FederatedSimulation::restore_full_state(BinaryReader& r) {
     const AttackStats as = read_attack_stats(r);
     if (adversary_ != nullptr) adversary_->restore_stats(as);
   }
+  DINAR_CHECK(r.exhausted(), "trailing bytes in full-state snapshot");
   last_updates_.clear();
 }
 
@@ -828,17 +811,8 @@ std::int64_t FederatedSimulation::recover_from_store() {
   const store::RoundStore::Recovered rec = store_->recover();
 
   if (rec.snapshot.has_value()) {
-    // CRC already validated the bytes; sniff the payload magic to pick the
-    // restore path (full DFST state vs a legacy DCKP checkpoint installed
-    // via import_legacy_checkpoint).
-    BinaryReader probe(*rec.snapshot);
-    const std::uint32_t magic = probe.remaining() >= 4 ? probe.read_u32() : 0;
-    BinaryReader body(*rec.snapshot);
-    if (magic == kLegacyCheckpointMagic) {
-      restore_checkpoint(body);
-    } else {
-      restore_full_state(body);
-    }
+    BinaryReader r(*rec.snapshot);
+    restore_full_state(r);
   }
 
   // Replay the longest valid WAL prefix. A malformed record (bit flip that

@@ -15,10 +15,13 @@
 // and — if quorum never materializes — carries the previous global model
 // forward as a degraded-but-live round. Every round appends a RoundOutcome
 // describing who crashed, who dropped, who was quarantined and why, and
-// how many retries were spent. Checkpoint/resume persists the global model
-// and round counter; all per-round randomness (selection, faults, attacks)
-// is forked from (seed, round), so a resumed run replays the remaining
-// rounds deterministically.
+// how many retries were spent. Resume goes through the full-state snapshot
+// (save_full_state / restore_full_state, or the durable store built on
+// it), which carries every client's private state — personalized model,
+// DINAR's true sensitive layer, optimizer, RNG — alongside the server's;
+// all per-round randomness (selection, faults, attacks) is forked from
+// (seed, round), so a resumed run replays the remaining rounds
+// bit-identically to the uninterrupted one.
 //
 // Byzantine robustness: SimulationConfig::adversaries schedules clients
 // that upload well-formed but adversarial updates (sign-flip, model
@@ -53,7 +56,7 @@
 // (initialized from the current global model via their first broadcast),
 // leave, and rejoin with their personalized state carried across the
 // absence. Presence is a pure function of (config, round), keeping
-// selection deterministic and checkpoint-resume exact under churn.
+// selection deterministic and resume exact under churn.
 #pragma once
 
 #include <functional>
@@ -97,7 +100,7 @@ struct DefenseBundle {
 // with its own personalized layer while picking up the current global
 // model from the next broadcast. Presence is a pure function of
 // (config, round), so selection stays deterministic under churn and a
-// checkpoint-resumed run recomputes the identical roster per round.
+// resumed run recomputes the identical roster per round.
 struct ChurnConfig {
   // client id -> first round the client is part of the federation
   // (absent entry = founding member, present from round 0). A joining
@@ -272,7 +275,7 @@ class FederatedSimulation {
   PipelineMode pipeline_mode() const { return pipeline_mode_; }
 
   // Runs every remaining round (config.rounds minus any already completed,
-  // e.g. after restore_checkpoint()).
+  // e.g. after restore_full_state() or recover_from_store()).
   void run();
   // Runs a single round (exposed for tests and incremental experiments);
   // returns its event log entry.
@@ -297,33 +300,21 @@ class FederatedSimulation {
   // longest valid WAL prefix replayed on top. Tolerates torn tails,
   // truncation, bit flips, duplicate round records and records already
   // absorbed by the snapshot — corruption only shortens the replay, it
-  // never throws. A legacy DCKP v2 checkpoint installed as the snapshot
-  // (import_legacy_checkpoint) restores through the server-only path.
-  // Returns the recovered round count (server round after replay).
+  // never throws. Returns the recovered round count (server round after
+  // replay).
   std::int64_t recover_from_store();
 
-  // Full simulation state (superset of save_checkpoint: server + every
-  // client's model/RNG/defense state + both logs + counters). This is the
-  // snapshot payload, and also what the crash matrix compares runs by.
+  // -- resume ---------------------------------------------------------------
+  // Full simulation state ("DFST": server + every client's model/RNG/
+  // defense state + both logs + counters). This is the store's snapshot
+  // payload, the one resume format (write it to a file with
+  // store::atomic_write_file), and what the crash matrix compares runs by.
+  // Restoring into an identically configured simulation and running the
+  // remaining rounds is byte-equal to the uninterrupted run. The reader
+  // rejects a configuration mismatch, a bad magic or version, truncation
+  // and trailing bytes.
   void save_full_state(BinaryWriter& w) const;
   void restore_full_state(BinaryReader& r);
-
-  // -- checkpoint / resume ------------------------------------------------
-  // Persists the global model + round counter (magic + version header).
-  void save_checkpoint(BinaryWriter& w) const;
-  // Crash-safe: writes a temp file, fsyncs, then atomically renames over
-  // `path`, so a crash mid-write can never clobber the previous good
-  // checkpoint.
-  void save_checkpoint(const std::string& path) const;
-  // Restores a checkpoint into a freshly constructed simulation of the
-  // same architecture; run() then completes the remaining rounds. The
-  // per-round fault/selection schedules replay identically, so any two
-  // restarts from the same checkpoint are bit-identical. Client-local
-  // state (optimizer accumulators, training RNG streams) is NOT part of
-  // the checkpoint and restarts fresh — a resumed run is reproducible,
-  // not byte-equal to the uninterrupted one.
-  void restore_checkpoint(BinaryReader& r);
-  void restore_checkpoint(const std::string& path);
 
   // -- results & attacker views ------------------------------------------
   FlServer& server() { return *server_; }
@@ -365,6 +356,34 @@ class FederatedSimulation {
  private:
   void validate_config() const;
   std::vector<std::size_t> select_participants(std::int64_t round);
+
+  // -- round stages (run_round calls them in this order) --------------------
+  struct RoundState;  // one round's working state, passed stage to stage
+  struct Exchange;    // one client's exchange in one attempt
+  // Roster/selection: starts the round's fault and attack schedules, logs
+  // churn, selects participants and sets crashed clients aside.
+  RoundState select_round();
+  // Downlink preparation: the broadcast bytes (prefetched or serialized
+  // now) and the sparse-codec decode reference.
+  void prepare_downlink(RoundState& st);
+  // Opens the aggregation session and runs the exchange attempts (first
+  // try plus retries) until quorum, retry budget or deadline.
+  void run_exchanges(RoundState& st);
+  // Exchange task: client i's downlink, training, attack and uplink. Runs
+  // on the pool; reads `st`, writes only `ex`.
+  void exchange_task(const RoundState& st, std::size_t i, Exchange& ex);
+  // Commit: folds client i's exchange into the round on the coordinator,
+  // in ascending client order — accounting, validation, absorb.
+  void commit_exchange(RoundState& st, std::size_t i, Exchange& ex);
+  // Finalize/carry-forward: classifies the clients that never got through
+  // and either finalizes the aggregation or keeps the previous model.
+  void finalize_round(RoundState& st);
+  // Starts serializing the next round's broadcast on the pool.
+  void prefetch_next_broadcast();
+  // Persist: appends the round to the log and, when a store is attached,
+  // to the WAL (snapshotting on cadence).
+  const RoundOutcome& persist_round(RoundState& st);
+
   // Builds and durably appends round N's WAL record. `prev_global` is the
   // pre-round global arena (XOR-delta base); `touched` the clients whose
   // state the round may have advanced.
@@ -380,7 +399,7 @@ class FederatedSimulation {
   // serializing; safe to call with none pending.
   void join_prefetch();
   // join_prefetch + drop the prefetched broadcast (state changed under it:
-  // checkpoint restore, full-state restore, store recovery).
+  // full-state restore, store recovery).
   void invalidate_prefetch();
 
   nn::ModelFactory model_factory_;

@@ -25,16 +25,6 @@ void TransportStats::merge(const TransportStats& other) {
   socket_protocol_errors += other.socket_protocol_errors;
 }
 
-std::vector<std::uint8_t> Transport::uplink(std::vector<std::uint8_t> payload) {
-  account(payload.size(), /*up=*/true);
-  return payload;
-}
-
-std::vector<std::uint8_t> Transport::downlink(std::vector<std::uint8_t> payload) {
-  account(payload.size(), /*up=*/false);
-  return payload;
-}
-
 void Transport::enable_faults(const FaultConfig& config) {
   injector_ = std::make_unique<FaultInjector>(config);
 }
@@ -91,19 +81,6 @@ std::vector<std::vector<std::uint8_t>> Transport::ship(
 void Transport::commit(const ShipReceipt& receipt) {
   stats_.merge(receipt.transport);
   if (injector_ != nullptr) injector_->merge_stats(receipt.faults);
-}
-
-void Transport::account(std::size_t bytes, bool up) {
-  if (up) {
-    ++stats_.messages_up;
-    stats_.bytes_up += bytes;
-  } else {
-    ++stats_.messages_down;
-    stats_.bytes_down += bytes;
-  }
-  if (bandwidth_ > 0.0)
-    stats_.simulated_latency_seconds +=
-        per_message_ + static_cast<double>(bytes) / bandwidth_;
 }
 
 }  // namespace dinar::fl

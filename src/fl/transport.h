@@ -6,11 +6,11 @@
 // isolation a socket would give. A pluggable per-byte latency model lets
 // cost experiments include simulated network time.
 //
-// The fault-tolerant round protocol uses the framed path: ship() wraps the
-// payload in a checksummed frame (magic + length + FNV-1a 64), routes it
-// through an optional FaultInjector (drop / duplicate / corrupt / delay /
-// straggler slowdown), and open() verifies the frame on receive — so any
-// in-flight corruption is detected instead of silently aggregated.
+// Every payload takes the framed path: ship() wraps it in a checksummed
+// frame (magic + length + FNV-1a 64), routes it through an optional
+// FaultInjector (drop / duplicate / corrupt / delay / straggler slowdown),
+// and open() verifies the frame on receive — so any in-flight corruption
+// is detected instead of silently aggregated.
 // bytes_up/bytes_down keep counting pure payload bytes (the quantity the
 // cost experiments report); frame overhead is accounted separately.
 #pragma once
@@ -74,13 +74,6 @@ class Transport {
       : bandwidth_(bandwidth_bytes_per_sec), per_message_(per_message_latency_seconds) {}
   virtual ~Transport() = default;
 
-  // Ships a payload client -> server; returns the delivered bytes.
-  // Fault-free, unframed legacy path (kept for byte-exact cost accounting).
-  std::vector<std::uint8_t> uplink(std::vector<std::uint8_t> payload);
-  // Ships a payload server -> client.
-  std::vector<std::uint8_t> downlink(std::vector<std::uint8_t> payload);
-
-  // -- fault-tolerant framed path ----------------------------------------
   // Attaches a fault injector; subsequent ship() calls suffer its faults.
   void enable_faults(const FaultConfig& config);
   // The attached injector, or nullptr when running fault-free.
@@ -90,8 +83,7 @@ class Transport {
   // Frames the payload, applies faults (if enabled), and accounts every
   // delivered copy. Returns the framed copies that arrived (possibly none
   // — dropped — or two — duplicated). With `receipt == nullptr` the
-  // accounting lands directly in stats() (legacy sequential path). With a
-  // receipt, all accounting is deferred into it and the caller must later
+  // accounting lands directly in stats(). With a receipt, all accounting is deferred into it and the caller must later
   // commit() it — this is the thread-safe path: concurrent ship() calls
   // for different clients touch no shared mutable state.
   //
@@ -131,8 +123,6 @@ class Transport {
   TransportStats& mutable_stats() { return stats_; }
 
  private:
-  void account(std::size_t bytes, bool up);
-
   double bandwidth_;
   double per_message_;
   TransportStats stats_;

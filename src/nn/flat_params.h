@@ -20,7 +20,7 @@
 // The pre-flat ParamList (std::vector<Tensor>) API was removed after its
 // one-release deprecation window. Tensor-shaped input enters through
 // FlatParams::from_tensors(); the only tensor-list *wire* format still
-// read is the v1 DCKP checkpoint payload (read_legacy_tensor_params).
+// read is the v1 model-file payload (read_legacy_tensor_params).
 #pragma once
 
 #include <cstdint>
@@ -125,7 +125,7 @@ class FlatParams {
 
   // Builds a snapshot from ordered tensors, synthesizing a one-entry-per-
   // tensor index (entry i is layer i). The entry point for tensor-shaped
-  // input: ad-hoc snapshots in tests and the legacy DCKP read path.
+  // input: ad-hoc snapshots in tests and the legacy model-file read path.
   static FlatParams from_tensors(const std::vector<Tensor>& tensors);
   // Adopts `index` and shape-checks the tensors against it entry by entry.
   static FlatParams from_tensors(std::shared_ptr<const LayerIndex> index,
@@ -166,8 +166,8 @@ std::shared_ptr<const LayerIndex> read_layer_index(BinaryReader& r);
 
 // Reads the v1 tensor-list payload (count + tensors) into a FlatParams
 // with a synthesized index. This is the only surviving tensor-list wire
-// format: legacy DCKP model/simulation checkpoints. v1 *messages* are
-// rejected outright (fl/message.cpp) — checkpoints live on disk for years,
+// format: legacy v1 model files (Model::load). v1 *messages* are
+// rejected outright (fl/message.cpp) — model files live on disk for years,
 // wire frames do not outlive a release.
 FlatParams read_legacy_tensor_params(BinaryReader& r);
 

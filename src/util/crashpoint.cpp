@@ -104,8 +104,6 @@ const std::vector<std::string>& crashpoint_registry() {
       "snapshot.post_rename",   // installed, WAL not yet compacted
       "round.commit.mid",       // state mutated in memory, WAL not appended
       "round.commit.post_append",  // WAL appended, snapshot cadence pending
-      "checkpoint.pre_fsync",   // legacy DCKP temp written, not durable
-      "checkpoint.rename",      // legacy DCKP temp durable, not installed
   };
   return kSites;
 }

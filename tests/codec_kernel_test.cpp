@@ -55,6 +55,13 @@ float float_of(std::uint32_t b) {
 
 std::uint16_t f16_of(float f) { return f32_bits_to_f16_bits(bits_of(f)); }
 
+// Byte-for-byte equality of two float buffers. memcmp must never see the
+// null data() of an empty vector, so n = 0 compares sizes only.
+bool same_bytes(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0);
+}
+
 // Deterministic value mix: mostly-normal magnitudes spanning the f16
 // range plus out-of-range, subnormal-in-f16, and non-finite specials.
 std::vector<float> make_span(std::size_t n, std::uint64_t seed,
@@ -228,7 +235,7 @@ TEST(CodecKernelTest, TiersProduceByteIdenticalOutput) {
       std::vector<float> f_s(n), f_v(n);
       scalar.unpack_f16(h_s.data(), n, f_s.data());
       avx2.unpack_f16(h_s.data(), n, f_v.data());
-      EXPECT_EQ(std::memcmp(f_s.data(), f_v.data(), n * 4), 0)
+      EXPECT_TRUE(same_bytes(f_s, f_v))
           << "unpack_f16 n=" << n << " seed=" << seed;
 
       scalar.pack_bf16(in.data(), n, h_s.data());
@@ -237,7 +244,7 @@ TEST(CodecKernelTest, TiersProduceByteIdenticalOutput) {
 
       scalar.unpack_bf16(h_s.data(), n, f_s.data());
       avx2.unpack_bf16(h_s.data(), n, f_v.data());
-      EXPECT_EQ(std::memcmp(f_s.data(), f_v.data(), n * 4), 0)
+      EXPECT_TRUE(same_bytes(f_s, f_v))
           << "unpack_bf16 n=" << n << " seed=" << seed;
 
       std::vector<std::int8_t> q_s(n), q_v(n);
@@ -247,7 +254,7 @@ TEST(CodecKernelTest, TiersProduceByteIdenticalOutput) {
 
       scalar.unpack_i8(q_s.data(), n, 0.08f, f_s.data());
       avx2.unpack_i8(q_s.data(), n, 0.08f, f_v.data());
-      EXPECT_EQ(std::memcmp(f_s.data(), f_v.data(), n * 4), 0)
+      EXPECT_TRUE(same_bytes(f_s, f_v))
           << "unpack_i8 n=" << n << " seed=" << seed;
 
       const detail::SpanAbsMax am_s = scalar.absmax(in.data(), n);
@@ -264,10 +271,10 @@ TEST(CodecKernelTest, TiersProduceByteIdenticalOutput) {
   std::vector<float> d_s(all.size()), d_v(all.size());
   scalar.unpack_f16(all.data(), all.size(), d_s.data());
   avx2.unpack_f16(all.data(), all.size(), d_v.data());
-  EXPECT_EQ(std::memcmp(d_s.data(), d_v.data(), all.size() * 4), 0);
+  EXPECT_TRUE(same_bytes(d_s, d_v));
   scalar.unpack_bf16(all.data(), all.size(), d_s.data());
   avx2.unpack_bf16(all.data(), all.size(), d_v.data());
-  EXPECT_EQ(std::memcmp(d_s.data(), d_v.data(), all.size() * 4), 0);
+  EXPECT_TRUE(same_bytes(d_s, d_v));
 
   // And exhaustive f16 encode agreement over every decoded f16 value.
   std::vector<std::uint16_t> e_s(all.size()), e_v(all.size());

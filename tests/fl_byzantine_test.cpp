@@ -13,8 +13,10 @@
 namespace dinar::fl {
 namespace {
 
+using dinar::testing::HardenedRound;
 using dinar::testing::make_easy_dataset;
 using dinar::testing::tiny_mlp_factory;
+using dinar::testing::validate_and_aggregate;
 
 data::FlSplit easy_split(int clients, std::int64_t n, std::uint64_t seed) {
   Rng rng(seed);
@@ -528,23 +530,32 @@ TEST(ChurnSimulationTest, CheckpointResumeIsDeterministicUnderChurnAndAttack) {
   cfg.adversaries.noise_std = 0.1;
   cfg.robust.method = "trimmed_mean";
 
+  const auto full_state = [](const FederatedSimulation& sim) {
+    BinaryWriter w;
+    sim.save_full_state(w);
+    return w.take();
+  };
+  // Save the full state at round 3, then let the same run finish
+  // uninterrupted.
   FederatedSimulation first(tiny_mlp_factory(2, 2), easy_split(5, 600, 73), cfg,
                             DefenseBundle{});
   for (int r = 0; r < 3; ++r) first.run_round();
-  BinaryWriter w;
-  first.save_checkpoint(w);
-  const std::vector<std::uint8_t> checkpoint = w.buffer();
+  const std::vector<std::uint8_t> checkpoint = full_state(first);
+  first.run();
 
   auto resume = [&] {
     FederatedSimulation sim(tiny_mlp_factory(2, 2), easy_split(5, 600, 73), cfg,
                             DefenseBundle{});
     BinaryReader r(checkpoint);
-    sim.restore_checkpoint(r);
+    sim.restore_full_state(r);
     sim.run();
     return sim;
   };
   FederatedSimulation a = resume();
   FederatedSimulation b = resume();
+  // Resuming is byte-equal to never having stopped: the joining, returning
+  // and attacking clients' private state came back with the server's.
+  EXPECT_EQ(full_state(a), full_state(first));
 
   const nn::FlatParams& pa = a.server().global_params();
   const nn::FlatParams& pb = b.server().global_params();
@@ -579,9 +590,11 @@ TEST(ServerInterplayTest, RestoreThenQuarantineHeavyRoundThenCarryForward) {
   poisoned.round = 3;
   poisoned.params.as_span()[0] = std::numeric_limits<float>::quiet_NaN();
   const std::vector<ModelUpdateMsg> suspect{stale, poisoned};
-  AggregateOutcome out = server.try_aggregate(suspect, /*min_valid=*/1);
+  HardenedRound out = validate_and_aggregate(server, suspect, /*quorum=*/1);
   EXPECT_FALSE(out.aggregated);
-  EXPECT_EQ(out.quarantined.size(), 2u);
+  ASSERT_EQ(out.verdicts.size(), 2u);
+  EXPECT_EQ(out.verdicts[0].reason, RejectReason::kWrongRound);
+  EXPECT_EQ(out.verdicts[1].reason, RejectReason::kNonFinite);
   EXPECT_EQ(server.round(), 3);
   EXPECT_EQ(server.global_params().as_span()[0], 2.0f);
 
@@ -592,7 +605,7 @@ TEST(ServerInterplayTest, RestoreThenQuarantineHeavyRoundThenCarryForward) {
   ModelUpdateMsg good = update_of(0, 6.0f);
   good.round = 4;
   const std::vector<ModelUpdateMsg> healthy{good};
-  out = server.try_aggregate(healthy, /*min_valid=*/1);
+  out = validate_and_aggregate(server, healthy, /*quorum=*/1);
   EXPECT_TRUE(out.aggregated);
   EXPECT_EQ(server.round(), 5);
   EXPECT_NEAR(server.global_params().as_span()[0], 6.0f, 1e-6);

@@ -4,16 +4,21 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <string>
+#include <vector>
 
 #include "fl/simulation.h"
+#include "store/io.h"
 #include "test_helpers.h"
 #include "util/error.h"
 
 namespace dinar::fl {
 namespace {
 
+using dinar::testing::HardenedRound;
 using dinar::testing::make_easy_dataset;
 using dinar::testing::tiny_mlp_factory;
+using dinar::testing::validate_and_aggregate;
 
 data::FlSplit easy_split(int clients, std::int64_t n, std::uint64_t seed) {
   Rng rng(seed);
@@ -238,12 +243,13 @@ TEST(ServerValidationTest, TryAggregateQuarantinesAndAveragesTheRest) {
   nan_update.params.as_span()[0] = std::numeric_limits<float>::infinity();
   const std::vector<ModelUpdateMsg> cohort{make_update(0, 2.0f), nan_update,
                                            make_update(1, 4.0f)};
-  AggregateOutcome out = server.try_aggregate(cohort, /*min_valid=*/2);
+  const HardenedRound out = validate_and_aggregate(server, cohort, /*quorum=*/2);
   EXPECT_TRUE(out.aggregated);
-  EXPECT_EQ(out.accepted, (std::vector<int>{0, 1}));
-  ASSERT_EQ(out.quarantined.size(), 1u);
-  EXPECT_EQ(out.quarantined[0].client_id, 2);
-  EXPECT_EQ(out.quarantined[0].reason, RejectReason::kNonFinite);
+  ASSERT_EQ(out.verdicts.size(), 3u);
+  EXPECT_TRUE(out.verdicts[0].accepted);  // client 0
+  EXPECT_FALSE(out.verdicts[1].accepted);  // client 2 quarantined
+  EXPECT_EQ(out.verdicts[1].reason, RejectReason::kNonFinite);
+  EXPECT_TRUE(out.verdicts[2].accepted);  // client 1
   EXPECT_EQ(server.round(), 1);
   EXPECT_NEAR(server.global_params().as_span()[0], 3.0f, 1e-6);  // mean of 2 and 4
 }
@@ -251,7 +257,7 @@ TEST(ServerValidationTest, TryAggregateQuarantinesAndAveragesTheRest) {
 TEST(ServerValidationTest, BelowQuorumLeavesGlobalUntouched) {
   FlServer server(unit_params(7.0f), std::make_unique<NoServerDefense>());
   const std::vector<ModelUpdateMsg> lone{make_update(0, 1.0f)};
-  AggregateOutcome out = server.try_aggregate(lone, /*min_valid=*/2);
+  const HardenedRound out = validate_and_aggregate(server, lone, /*quorum=*/2);
   EXPECT_FALSE(out.aggregated);
   EXPECT_EQ(server.round(), 0);
   EXPECT_EQ(server.global_params().as_span()[0], 7.0f);
@@ -401,6 +407,12 @@ TEST(FaultSimulationTest, ZeroFaultProtocolMatchesSeedBehavior) {
 
 // ------------------------------------------------------ checkpoint / resume --
 
+std::vector<std::uint8_t> full_state(const FederatedSimulation& sim) {
+  BinaryWriter w;
+  sim.save_full_state(w);
+  return w.take();
+}
+
 TEST(CheckpointTest, ResumedRunsAreDeterministic) {
   SimulationConfig cfg = faulty_config(6);
   cfg.client_fraction = 0.6;  // exercise per-round selection forking
@@ -408,31 +420,32 @@ TEST(CheckpointTest, ResumedRunsAreDeterministic) {
   cfg.faults.drop_up = 0.2;
   cfg.faults.corrupt_up = 0.05;
 
-  // Run half the rounds, then checkpoint (as a crashed run would have).
+  // Run half the rounds and save the full state (as a crashed run would
+  // have), then let the same run finish uninterrupted.
   FederatedSimulation first(tiny_mlp_factory(2, 2), easy_split(5, 600, 35), cfg,
                             DefenseBundle{});
   for (int r = 0; r < 3; ++r) first.run_round();
-  BinaryWriter w;
-  first.save_checkpoint(w);
-  const std::vector<std::uint8_t> checkpoint = w.buffer();
+  const std::vector<std::uint8_t> checkpoint = full_state(first);
+  first.run();
 
-  // Two fresh processes restore the same checkpoint and finish the run.
+  // Two fresh processes restore the same state and finish the run.
   auto resume = [&] {
     FederatedSimulation sim(tiny_mlp_factory(2, 2), easy_split(5, 600, 35), cfg,
                             DefenseBundle{});
     BinaryReader r(checkpoint);
-    sim.restore_checkpoint(r);
+    sim.restore_full_state(r);
     EXPECT_EQ(sim.server().round(), 3);
     sim.run();
     EXPECT_EQ(sim.server().round(), 6);
-    EXPECT_EQ(sim.round_log().size(), 3u);  // only rounds 3..5 re-ran
-    return sim.server().global_params();
+    EXPECT_EQ(sim.round_log().size(), 6u);  // rounds 0..2 restored, 3..5 re-ran
+    return full_state(sim);
   };
-  const nn::FlatParams a = resume();
-  const nn::FlatParams b = resume();
-  ASSERT_EQ(a.numel(), b.numel());
-  for (std::size_t j = 0; j < a.as_span().size(); ++j)
-    EXPECT_EQ(a.as_span()[j], b.as_span()[j]);
+  const std::vector<std::uint8_t> a = resume();
+  const std::vector<std::uint8_t> b = resume();
+  EXPECT_EQ(a, b);
+  // Every client's private state came back too, so resuming is byte-equal
+  // to never having stopped.
+  EXPECT_EQ(a, full_state(first));
 }
 
 TEST(CheckpointTest, FileRoundTripRestoresRoundAndModel) {
@@ -444,11 +457,14 @@ TEST(CheckpointTest, FileRoundTripRestoresRoundAndModel) {
   sim.run_round();
   sim.run_round();
   const std::string path = ::testing::TempDir() + "dinar_ckpt.bin";
-  sim.save_checkpoint(path);
+  store::atomic_write_file(path, full_state(sim));
 
   FederatedSimulation fresh(tiny_mlp_factory(2, 2), easy_split(2, 200, 36), cfg,
                             DefenseBundle{});
-  fresh.restore_checkpoint(path);
+  const auto bytes = store::read_file(path);
+  ASSERT_TRUE(bytes.has_value());
+  BinaryReader r(*bytes);
+  fresh.restore_full_state(r);
   EXPECT_EQ(fresh.server().round(), 2);
   const nn::FlatParams& a = sim.server().global_params();
   const nn::FlatParams& b = fresh.server().global_params();
@@ -462,39 +478,21 @@ TEST(CheckpointTest, CorruptedCheckpointRejected) {
   cfg.train = TrainConfig{1, 32};
   FederatedSimulation sim(tiny_mlp_factory(2, 2), easy_split(2, 200, 37), cfg,
                           DefenseBundle{});
-  BinaryWriter w;
-  sim.save_checkpoint(w);
-  std::vector<std::uint8_t> bytes = w.take();
+  const std::vector<std::uint8_t> bytes = full_state(sim);
 
   std::vector<std::uint8_t> truncated(bytes.begin(), bytes.begin() + 10);
   BinaryReader rt(truncated);
-  EXPECT_THROW(sim.restore_checkpoint(rt), Error);
+  EXPECT_THROW(sim.restore_full_state(rt), Error);
 
   std::vector<std::uint8_t> trailing = bytes;
   trailing.push_back(0);
   BinaryReader rx(trailing);
-  EXPECT_THROW(sim.restore_checkpoint(rx), Error);
+  EXPECT_THROW(sim.restore_full_state(rx), Error);
 
   std::vector<std::uint8_t> bad_magic = bytes;
   bad_magic[0] ^= 0xFF;
   BinaryReader rm(bad_magic);
-  EXPECT_THROW(sim.restore_checkpoint(rm), Error);
-}
-
-// A rolled-back restore into a simulation whose clients already advanced
-// past the checkpoint round is refused (restore into a fresh process).
-TEST(CheckpointTest, BackwardRestoreIntoLiveSimulationRejected) {
-  SimulationConfig cfg;
-  cfg.rounds = 4;
-  cfg.train = TrainConfig{1, 32};
-  FederatedSimulation sim(tiny_mlp_factory(2, 2), easy_split(2, 200, 38), cfg,
-                          DefenseBundle{});
-  BinaryWriter w;
-  sim.save_checkpoint(w);  // round 0
-  sim.run_round();
-  sim.run_round();
-  BinaryReader r(w.buffer());
-  EXPECT_THROW(sim.restore_checkpoint(r), Error);
+  EXPECT_THROW(sim.restore_full_state(rm), Error);
 }
 
 }  // namespace

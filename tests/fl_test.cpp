@@ -123,10 +123,12 @@ TEST(MessageTest, TrailingBytesRejected) {
 TEST(TransportTest, CountsBytesAndMessages) {
   Transport t;
   const std::vector<std::uint8_t> payload(100, 0xAB);
-  auto up = t.uplink(payload);
-  auto down = t.downlink(payload);
-  EXPECT_EQ(up.size(), 100u);
-  EXPECT_EQ(down.size(), 100u);
+  const auto up = t.ship(LinkDir::kUp, 0, payload);
+  const auto down = t.ship(LinkDir::kDown, 0, payload);
+  ASSERT_EQ(up.size(), 1u);
+  ASSERT_EQ(down.size(), 1u);
+  EXPECT_EQ(Transport::open(up[0]), payload);
+  EXPECT_EQ(Transport::open(down[0]), payload);
   EXPECT_EQ(t.stats().messages_up, 1u);
   EXPECT_EQ(t.stats().messages_down, 1u);
   EXPECT_EQ(t.stats().bytes_up, 100u);
@@ -137,20 +139,21 @@ TEST(TransportTest, CountsBytesAndMessages) {
 
 TEST(TransportTest, LatencyModelAccumulates) {
   Transport t(/*bandwidth_bytes_per_sec=*/1000.0, /*per_message=*/0.01);
-  t.uplink(std::vector<std::uint8_t>(500, 0));
-  EXPECT_NEAR(t.stats().simulated_latency_seconds, 0.01 + 0.5, 1e-9);
+  t.ship(LinkDir::kUp, 0, std::vector<std::uint8_t>(500, 0));
+  // Latency is charged on the framed size: payload plus frame header.
+  const double framed = 500.0 + static_cast<double>(t.stats().frame_bytes_up);
+  EXPECT_NEAR(t.stats().simulated_latency_seconds, 0.01 + framed / 1000.0, 1e-9);
 }
 
 TEST(TransportTest, ZeroBandwidthDisablesLatencySimulation) {
   Transport t;  // bandwidth 0 = latency model off
-  t.uplink(std::vector<std::uint8_t>(4096, 0));
+  t.ship(LinkDir::kUp, 0, std::vector<std::uint8_t>(4096, 0));
   t.ship(LinkDir::kDown, 0, std::vector<std::uint8_t>(4096, 0));
   EXPECT_EQ(t.stats().simulated_latency_seconds, 0.0);
 }
 
 TEST(TransportTest, ResetStatsClearsEveryCounter) {
   Transport t(/*bandwidth_bytes_per_sec=*/1000.0, /*per_message=*/0.01);
-  t.uplink(std::vector<std::uint8_t>(64, 0));
   t.ship(LinkDir::kUp, 0, std::vector<std::uint8_t>(64, 0));
   t.ship(LinkDir::kDown, 0, std::vector<std::uint8_t>(64, 0));
   t.add_latency(1.0);
@@ -168,10 +171,10 @@ TEST(TransportTest, ResetStatsClearsEveryCounter) {
 TEST(TransportTest, UplinkAndDownlinkAccountSymmetrically) {
   Transport t;
   const std::vector<std::uint8_t> payload(321, 0x5C);
-  t.uplink(payload);
-  t.downlink(payload);
-  t.ship(LinkDir::kUp, 0, payload);
-  t.ship(LinkDir::kDown, 0, payload);
+  for (int i = 0; i < 2; ++i) {
+    t.ship(LinkDir::kUp, 0, payload);
+    t.ship(LinkDir::kDown, 0, payload);
+  }
   const TransportStats& s = t.stats();
   EXPECT_EQ(s.bytes_up, s.bytes_down);
   EXPECT_EQ(s.messages_up, s.messages_down);

@@ -1,13 +1,13 @@
 // Wire/checkpoint format-version suite: v2 DFRM frames are bit-exact and
 // self-describing, v1 tensor-list *messages* are rejected by name (their
-// read path was removed after the one-release deprecation window), v1 DCKP
-// checkpoints still read, and truncation/corruption at every interesting
+// read path was removed after the one-release deprecation window), v1 DNAR
+// model files still read, and truncation/corruption at every interesting
 // offset dies with a named error instead of garbage state.
 #include <gtest/gtest.h>
 
 #include <cstring>
 
-#include "fl/simulation.h"
+#include "fl/message.h"
 #include "nn/flat_params.h"
 #include "nn/model.h"
 #include "tensor/tensor_serde.h"
@@ -18,16 +18,13 @@
 namespace dinar {
 namespace {
 
-using dinar::testing::make_easy_dataset;
 using dinar::testing::make_tiny_mlp;
-using dinar::testing::tiny_mlp_factory;
 
 // Format constants under test (mirrors of the implementation values: these
 // are the on-disk/on-wire contract, so the test hard-codes them).
 constexpr std::uint32_t kFlatMsgMagic = 0x4D524644;    // "DFRM"
 constexpr std::uint32_t kGlobalMagicV1 = 0x474D4F44;   // "GMOD"
 constexpr std::uint32_t kUpdateMagicV1 = 0x55504454;   // "UPDT"
-constexpr std::uint32_t kCkptMagic = 0x44434B50;       // "DCKP"
 constexpr std::uint32_t kModelMagic = 0x444E4152;      // "DNAR"
 
 nn::FlatParams sample_params(Rng& rng) {
@@ -243,63 +240,6 @@ TEST(FormatV1Test, LegacyModelCheckpointLoads) {
   BinaryReader r(bytes);
   fresh.load(r);
   expect_bitwise_equal(fresh.parameters(), trained);
-}
-
-fl::FederatedSimulation make_sim(int seed) {
-  fl::SimulationConfig cfg;
-  cfg.rounds = 4;
-  cfg.train = fl::TrainConfig{1, 32};
-  Rng rng(seed);
-  data::Dataset full = make_easy_dataset(200, rng);
-  data::FlSplitConfig split_cfg;
-  split_cfg.num_clients = 2;
-  data::FlSplit split = data::make_fl_split(full, split_cfg, rng);
-  return fl::FederatedSimulation(tiny_mlp_factory(2, 2), std::move(split), cfg,
-                                 fl::DefenseBundle{});
-}
-
-TEST(FormatV1Test, LegacySimulationCheckpointResumes) {
-  fl::FederatedSimulation sim = make_sim(41);
-  sim.run_round();
-  sim.run_round();
-  const nn::FlatParams global = sim.server().global_params();
-
-  // A v1 checkpoint as an old build would have written it.
-  BinaryWriter w;
-  w.write_u32(kCkptMagic);
-  w.write_u32(1);  // legacy version
-  w.write_i64(sim.server().round());
-  write_v1_tensor_list(w, global);
-  const auto legacy = w.take();
-
-  fl::FederatedSimulation fresh = make_sim(41);
-  BinaryReader r(legacy);
-  fresh.restore_checkpoint(r);
-  EXPECT_EQ(fresh.server().round(), 2);
-  expect_bitwise_equal(fresh.server().global_params(), global);
-
-  // The resumed run completes the remaining rounds.
-  fresh.run();
-  EXPECT_EQ(fresh.server().round(), 4);
-}
-
-TEST(FormatVersionTest, CurrentCheckpointWritesV2) {
-  fl::FederatedSimulation sim = make_sim(42);
-  sim.run_round();
-  BinaryWriter w;
-  sim.save_checkpoint(w);
-  const auto& buf = w.buffer();
-  std::uint32_t magic = 0, version = 0;
-  std::memcpy(&magic, buf.data(), sizeof magic);
-  std::memcpy(&version, buf.data() + 4, sizeof version);
-  EXPECT_EQ(magic, kCkptMagic);
-  EXPECT_EQ(version, 2u);
-
-  auto future = std::vector<std::uint8_t>(buf.begin(), buf.end());
-  future[4] = 9;  // unknown version
-  BinaryReader r(future);
-  fl::FederatedSimulation fresh = make_sim(42);
-  EXPECT_THROW(fresh.restore_checkpoint(r), Error);
 }
 
 }  // namespace

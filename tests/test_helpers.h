@@ -1,9 +1,15 @@
 // Shared fixtures: tiny datasets and models sized for fast unit tests.
 #pragma once
 
+#include <algorithm>
 #include <memory>
+#include <optional>
+#include <span>
+#include <unordered_set>
+#include <vector>
 
 #include "data/synthetic.h"
+#include "fl/server.h"
 #include "nn/activations.h"
 #include "nn/dense.h"
 #include "nn/model.h"
@@ -64,6 +70,37 @@ inline nn::Model make_wide_mlp(std::int64_t in, std::int64_t classes, Rng& rng) 
 
 inline nn::ModelFactory wide_mlp_factory(std::int64_t in, std::int64_t classes) {
   return [in, classes](Rng& rng) { return make_wide_mlp(in, classes, rng); };
+}
+
+// One round of FlServer's hardened path over a batch, driven the way the
+// round protocol drives it: validate the updates in order, absorb the
+// accepted ones into a streaming session, and finalize iff at least
+// max(1, quorum) were accepted. Below quorum the session stays open for
+// the caller's carry_forward().
+struct HardenedRound {
+  std::vector<fl::UpdateVerdict> verdicts;  // one per update, in order
+  bool aggregated = false;                  // finalized; the round advanced
+};
+
+inline HardenedRound validate_and_aggregate(fl::FlServer& server,
+                                            std::span<const fl::ModelUpdateMsg> updates,
+                                            std::size_t quorum) {
+  HardenedRound out;
+  server.begin_aggregation();
+  std::unordered_set<int> accepted_ids;
+  std::optional<bool> weighting;
+  for (const fl::ModelUpdateMsg& u : updates) {
+    out.verdicts.push_back(server.validate_update(u, accepted_ids, weighting));
+    if (!out.verdicts.back().accepted) continue;
+    accepted_ids.insert(u.client_id);
+    weighting = u.pre_weighted;
+    server.absorb_validated(u);
+  }
+  if (accepted_ids.size() >= std::max<std::size_t>(1, quorum)) {
+    server.finalize_aggregation();
+    out.aggregated = true;
+  }
+  return out;
 }
 
 }  // namespace dinar::testing

@@ -38,7 +38,6 @@
 
 #include "core/dinar.h"
 #include "data/synthetic.h"
-#include "fl/durable.h"
 #include "fl/simulation.h"
 #include "nn/activations.h"
 #include "nn/dense.h"
@@ -112,8 +111,6 @@ int run_once(const std::string& dir) {
   sim.attach_store(&store, kSnapshotEvery);
   sim.recover_from_store();
   sim.run();
-  // Also exercise the atomic legacy-checkpoint path (checkpoint.* sites).
-  sim.save_checkpoint(dir + "/ckpt.bin");
   BinaryWriter w;
   sim.save_full_state(w);
   store::atomic_write_file(dir + "/final.bin", w.buffer());
