@@ -23,6 +23,7 @@ EvictReason reason_for(FrameReader::Error e) {
     case FrameReader::Error::kBadMagic: return EvictReason::kBadMagic;
     case FrameReader::Error::kOversize: return EvictReason::kOversizeFrame;
     case FrameReader::Error::kBadChecksum: return EvictReason::kBadChecksum;
+    case FrameReader::Error::kOversizeDecoded: return EvictReason::kOversizeDecoded;
     case FrameReader::Error::kNone: break;
   }
   return EvictReason::kPeerClosed;
@@ -36,6 +37,7 @@ const char* to_string(EvictReason reason) {
     case EvictReason::kBadMagic: return "bad_magic";
     case EvictReason::kOversizeFrame: return "oversize_frame";
     case EvictReason::kBadChecksum: return "bad_checksum";
+    case EvictReason::kOversizeDecoded: return "oversize_decoded";
     case EvictReason::kSlowPeer: return "slow_peer";
     case EvictReason::kIdle: return "idle";
     case EvictReason::kShed: return "shed";
@@ -124,6 +126,7 @@ void TcpServer::count_eviction(EvictReason reason) {
     case EvictReason::kBadMagic: ++stats_.evicted_bad_magic; break;
     case EvictReason::kOversizeFrame: ++stats_.evicted_oversize; break;
     case EvictReason::kBadChecksum: ++stats_.evicted_bad_checksum; break;
+    case EvictReason::kOversizeDecoded: ++stats_.evicted_oversize_decoded; break;
     case EvictReason::kSlowPeer: ++stats_.evicted_slow_peer; break;
     case EvictReason::kIdle: ++stats_.evicted_idle; break;
     case EvictReason::kShed: ++stats_.connections_shed; break;

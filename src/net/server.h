@@ -63,14 +63,15 @@ struct ServerConfig {
 
 // Why the server dropped a connection.
 enum class EvictReason {
-  kPeerClosed,     // orderly or abortive close from the peer
-  kBadMagic,       // stream bytes stopped being DFRM frames
-  kOversizeFrame,  // length field exceeded max_frame_bytes
-  kBadChecksum,    // complete frame failed FNV-1a verification
-  kSlowPeer,       // send queue blocked past write_stall_timeout
-  kIdle,           // no frame received within idle_timeout
-  kShed,           // accepted beyond max_connections, closed on arrival
-  kServerStop,     // server shut down
+  kPeerClosed,       // orderly or abortive close from the peer
+  kBadMagic,         // stream bytes stopped being DFRM frames
+  kOversizeFrame,    // length field exceeded max_frame_bytes
+  kBadChecksum,      // complete frame failed FNV-1a verification
+  kOversizeDecoded,  // v3 payload declared a decoded size over the cap
+  kSlowPeer,         // send queue blocked past write_stall_timeout
+  kIdle,             // no frame received within idle_timeout
+  kShed,             // accepted beyond max_connections, closed on arrival
+  kServerStop,       // server shut down
 };
 const char* to_string(EvictReason reason);
 
@@ -81,6 +82,7 @@ struct ServerStats {
   std::uint64_t evicted_bad_magic = 0;
   std::uint64_t evicted_oversize = 0;
   std::uint64_t evicted_bad_checksum = 0;
+  std::uint64_t evicted_oversize_decoded = 0;
   std::uint64_t evicted_slow_peer = 0;
   std::uint64_t evicted_idle = 0;
   std::uint64_t frames_rx = 0;
@@ -92,7 +94,8 @@ struct ServerStats {
 
   // Framing evictions = protocol errors (the load-test smoke gate).
   std::uint64_t protocol_errors() const {
-    return evicted_bad_magic + evicted_oversize + evicted_bad_checksum;
+    return evicted_bad_magic + evicted_oversize + evicted_bad_checksum +
+           evicted_oversize_decoded;
   }
 };
 

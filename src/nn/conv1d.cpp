@@ -35,16 +35,27 @@ Tensor Conv1d::forward(const Tensor& x, bool train) {
   return y;
 }
 
-Tensor Conv1d::backward(const Tensor& grad_out) {
+const ConvShape& Conv1d::backward_shape(const Tensor& grad_out) const {
   DINAR_CHECK(cached_shape_.has_value(), "Conv1d::backward without cached forward");
   const ConvShape& s = *cached_shape_;
   DINAR_CHECK(grad_out.rank() == 3 && grad_out.dim(0) == s.batch &&
                   grad_out.dim(1) == out_ch_ && grad_out.dim(2) == s.ow,
               "Conv1d backward shape mismatch");
+  return s;
+}
+
+Tensor Conv1d::backward(const Tensor& grad_out) {
+  const ConvShape& s = backward_shape(grad_out);
   Tensor dx({s.batch, in_ch_, s.w});
   conv_backward(s, cached_cols_.data(), weight_.data(), grad_out.data(),
                 grad_weight_.data(), grad_bias_.data(), dx.data(), exec_);
   return dx;
+}
+
+void Conv1d::backward_params(const Tensor& grad_out) {
+  conv_backward(backward_shape(grad_out), cached_cols_.data(), weight_.data(),
+                grad_out.data(), grad_weight_.data(), grad_bias_.data(),
+                /*dx=*/nullptr, exec_);
 }
 
 std::string Conv1d::name() const {

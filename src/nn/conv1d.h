@@ -16,6 +16,7 @@ class Conv1d : public Layer {
 
   Tensor forward(const Tensor& x, bool train) override;
   Tensor backward(const Tensor& grad_out) override;
+  void backward_params(const Tensor& grad_out) override;
   std::string name() const override;
   std::vector<ParamGroup> param_groups() override;
   std::unique_ptr<Layer> clone() const override;
@@ -26,6 +27,8 @@ class Conv1d : public Layer {
 
  private:
   Conv1d(const Conv1d&) = default;
+  // The cached training geometry, checked against grad_out's shape.
+  const ConvShape& backward_shape(const Tensor& grad_out) const;
 
   std::int64_t in_ch_, out_ch_, kernel_, stride_, padding_;
   Tensor weight_;  // [OC, IC, K]

@@ -35,17 +35,28 @@ Tensor Conv2d::forward(const Tensor& x, bool train) {
   return y;
 }
 
-Tensor Conv2d::backward(const Tensor& grad_out) {
+const ConvShape& Conv2d::backward_shape(const Tensor& grad_out) const {
   DINAR_CHECK(cached_shape_.has_value(), "Conv2d::backward without cached forward");
   const ConvShape& s = *cached_shape_;
   DINAR_CHECK(grad_out.rank() == 4 && grad_out.dim(0) == s.batch &&
                   grad_out.dim(1) == out_ch_ && grad_out.dim(2) == s.oh &&
                   grad_out.dim(3) == s.ow,
               "Conv2d backward shape mismatch");
+  return s;
+}
+
+Tensor Conv2d::backward(const Tensor& grad_out) {
+  const ConvShape& s = backward_shape(grad_out);
   Tensor dx({s.batch, in_ch_, s.h, s.w});
   conv_backward(s, cached_cols_.data(), weight_.data(), grad_out.data(),
                 grad_weight_.data(), grad_bias_.data(), dx.data(), exec_);
   return dx;
+}
+
+void Conv2d::backward_params(const Tensor& grad_out) {
+  conv_backward(backward_shape(grad_out), cached_cols_.data(), weight_.data(),
+                grad_out.data(), grad_weight_.data(), grad_bias_.data(),
+                /*dx=*/nullptr, exec_);
 }
 
 std::string Conv2d::name() const {

@@ -188,6 +188,7 @@ void conv_backward(const ConvShape& s, const float* cols, const float* weight,
               }
             });
   for (std::int64_t i = 0; i < oc * ck; ++i) grad_weight[i] += dw[static_cast<std::size_t>(i)];
+  if (dx == nullptr) return;
 
   // dx: per image, t = W^T g_n, added into dx_n while it is still cached.
   run_range(s.batch, exec, grain_for(oc * ck * p), [&](std::int64_t n0, std::int64_t n1) {

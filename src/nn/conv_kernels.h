@@ -79,7 +79,7 @@ void conv_forward(const ConvShape& s, const float* x, const float* weight,
 
 // Given the patch matrices of the matching training forward, accumulates
 // the weight and bias gradients (+=) and adds the input gradient into dx
-// ([B, C, H, W], zero on entry).
+// ([B, C, H, W], zero on entry). A null dx skips the input gradient.
 void conv_backward(const ConvShape& s, const float* cols, const float* weight,
                    const float* grad_out, float* grad_weight, float* grad_bias,
                    float* dx, const ExecutionContext* exec);

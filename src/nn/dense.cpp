@@ -25,17 +25,21 @@ Tensor Dense::forward(const Tensor& x, bool train) {
 }
 
 Tensor Dense::backward(const Tensor& grad_out) {
+  backward_params(grad_out);
+  return gemm(Trans::kN, Trans::kT, grad_out, weight_, exec_);  // dx = g W^T
+}
+
+void Dense::backward_params(const Tensor& grad_out) {
   DINAR_CHECK(!cached_input_.empty(), "Dense::backward without cached forward");
   DINAR_CHECK(grad_out.rank() == 2 && grad_out.dim(1) == out_,
               "Dense backward shape mismatch");
-  // dW = x^T g, db = sum over batch, dx = g W^T.
+  // dW = x^T g, db = sum over batch.
   grad_weight_ += gemm(Trans::kT, Trans::kN, cached_input_, grad_out, exec_);
   const std::int64_t batch = grad_out.dim(0);
   const float* pg = grad_out.data();
   float* pdb = grad_bias_.data();
   for (std::int64_t i = 0; i < batch; ++i)
     for (std::int64_t j = 0; j < out_; ++j) pdb[j] += pg[i * out_ + j];
-  return gemm(Trans::kN, Trans::kT, grad_out, weight_, exec_);
 }
 
 std::string Dense::name() const {

@@ -11,6 +11,7 @@ class Dense : public Layer {
 
   Tensor forward(const Tensor& x, bool train) override;
   Tensor backward(const Tensor& grad_out) override;
+  void backward_params(const Tensor& grad_out) override;
   std::string name() const override;
   std::vector<ParamGroup> param_groups() override;
   std::unique_ptr<Layer> clone() const override;

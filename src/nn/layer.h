@@ -52,6 +52,11 @@ class Layer {
   // dL/d(input). Must follow a forward(x, /*train=*/true) call.
   virtual Tensor backward(const Tensor& grad_out) = 0;
 
+  // backward() for a caller that never reads dL/d(input) (the model's
+  // first layer): accumulates bit-identical parameter gradients, and
+  // layers whose input gradient is real work skip it.
+  virtual void backward_params(const Tensor& grad_out) { backward(grad_out); }
+
   virtual std::string name() const = 0;
 
   // Parameter groups of this layer; empty for stateless layers. Composite

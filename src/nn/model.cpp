@@ -55,7 +55,14 @@ Tensor Model::forward(const Tensor& x, bool train) {
   return h;
 }
 
-Tensor Model::backward(const Tensor& grad_output) {
+void Model::backward(const Tensor& grad_output) {
+  if (layers_.empty()) return;
+  Tensor g = grad_output;
+  for (std::size_t i = layers_.size() - 1; i > 0; --i) g = layers_[i]->backward(g);
+  layers_.front()->backward_params(g);
+}
+
+Tensor Model::backward_with_input_grad(const Tensor& grad_output) {
   Tensor g = grad_output;
   for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) g = (*it)->backward(g);
   return g;

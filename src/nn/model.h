@@ -45,9 +45,11 @@ class Model {
   const ExecutionContext* execution_context() const { return exec_; }
 
   Tensor forward(const Tensor& x, bool train = false);
-  // Backpropagates dL/d(output); parameter gradients accumulate.
-  // Returns dL/d(input).
-  Tensor backward(const Tensor& grad_output);
+  // Backpropagates dL/d(output); parameter gradients accumulate. The
+  // first layer's input gradient is not computed: training never reads it.
+  void backward(const Tensor& grad_output);
+  // As backward(), and also returns dL/d(input) (gradient checks).
+  Tensor backward_with_input_grad(const Tensor& grad_output);
   void zero_grad();
 
   // One parameterized-layer view per paper "layer", in forward order.

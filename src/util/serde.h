@@ -8,6 +8,7 @@
 // guards model checkpoints.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -50,8 +51,12 @@ class BinaryWriter {
  private:
   void append(const void* data, std::size_t n) {
     if (n == 0) return;  // empty spans may come with a null pointer
-    const auto* p = static_cast<const std::uint8_t*>(data);
-    buf_.insert(buf_.end(), p, p + n);
+    // Grows geometrically, then copies in place: vector::insert of the
+    // same bytes trips GCC 12's -Wstringop-overflow once inlined.
+    const std::size_t old = buf_.size();
+    if (buf_.capacity() - old < n) buf_.reserve(std::max(old + n, 2 * buf_.capacity()));
+    buf_.resize(old + n);
+    std::memcpy(buf_.data() + old, data, n);
   }
 
   std::vector<std::uint8_t> buf_;

@@ -11,6 +11,12 @@ thread_local bool t_on_worker_thread = false;
 
 bool ThreadPool::on_worker_thread() { return t_on_worker_thread; }
 
+ThreadPool::WorkerScope::WorkerScope() : previous_(t_on_worker_thread) {
+  t_on_worker_thread = true;
+}
+
+ThreadPool::WorkerScope::~WorkerScope() { t_on_worker_thread = previous_; }
+
 ThreadPool::ThreadPool(unsigned threads) {
   // hardware_concurrency() may legally return 0 (the header's default
   // argument forwards it); a pool with zero workers would never drain its
@@ -53,34 +59,40 @@ std::future<void> ThreadPool::submit(std::function<void()> fn) {
 
 void ThreadPool::parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn) {
   if (n == 0) return;
-  // Shared completion state: a counter the caller waits on, plus one
-  // exception slot per index so errors survive the task's stack unwinding
-  // and are rethrown deterministically (lowest index first).
+  // Completion state: a counter the caller waits on, plus one exception
+  // slot per index so errors survive the task's stack unwinding and are
+  // rethrown deterministically (lowest index first). It lives in the
+  // caller's frame, which outlives every task (the caller waits for the
+  // last one, and a task touches nothing after its final unlock), so every
+  // captured exception is released on this thread, never on a worker
+  // racing the caller's reads of the surfaced one.
   struct Sync {
     std::mutex mu;
     std::condition_variable done;
     std::size_t remaining;
     std::vector<std::exception_ptr> errors;
   };
-  auto sync = std::make_shared<Sync>();
-  sync->remaining = n;
-  sync->errors.resize(n);
+  Sync sync;
+  sync.remaining = n;
+  sync.errors.resize(n);
 
   for (std::size_t i = 0; i < n; ++i) {
-    enqueue([sync, &fn, i] {
+    enqueue([&sync, &fn, i] {
+      std::exception_ptr err;
       try {
         fn(i);
       } catch (...) {
-        sync->errors[i] = std::current_exception();
+        err = std::current_exception();
       }
-      std::lock_guard<std::mutex> lock(sync->mu);
-      if (--sync->remaining == 0) sync->done.notify_all();
+      std::lock_guard<std::mutex> lock(sync.mu);
+      sync.errors[i] = std::move(err);
+      if (--sync.remaining == 0) sync.done.notify_all();
     });
   }
 
-  std::unique_lock<std::mutex> lock(sync->mu);
-  sync->done.wait(lock, [&] { return sync->remaining == 0; });
-  for (const std::exception_ptr& e : sync->errors)
+  std::unique_lock<std::mutex> lock(sync.mu);
+  sync.done.wait(lock, [&] { return sync.remaining == 0; });
+  for (const std::exception_ptr& e : sync.errors)
     if (e) std::rethrow_exception(e);
 }
 

@@ -34,6 +34,23 @@ class ThreadPool {
   // saturated queue.
   static bool on_worker_thread();
 
+  // Marks the current thread as a pool worker for the scope's lifetime and
+  // restores the previous marker on exit. A non-worker thread that runs a
+  // task which would otherwise have been a pool submission (the round
+  // pipeline's coordinator) uses it so the task's nested parallel sections
+  // run inline, exactly as on a worker, instead of queueing behind whole
+  // tasks on the saturated pool.
+  class WorkerScope {
+   public:
+    WorkerScope();
+    ~WorkerScope();
+    WorkerScope(const WorkerScope&) = delete;
+    WorkerScope& operator=(const WorkerScope&) = delete;
+
+   private:
+    bool previous_;
+  };
+
   // Schedules `fn` and returns a future for its completion/exception.
   std::future<void> submit(std::function<void()> fn);
 

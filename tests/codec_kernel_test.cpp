@@ -296,16 +296,18 @@ TEST(CodecKernelTest, DispatchRegistryAndPins) {
   const CodecKernel active = active_codec_kernel();
   EXPECT_TRUE(codec_kernel_available(active));
   const char* pin = std::getenv("DINAR_CODEC_KERNEL");
-  if (pin != nullptr && *pin != '\0')
+  if (pin != nullptr && *pin != '\0') {
     EXPECT_STREQ(codec_kernel_name(active), pin);
-  else if (codec_kernel_available(CodecKernel::kAvx2))
+  } else if (codec_kernel_available(CodecKernel::kAvx2)) {
     EXPECT_EQ(active, CodecKernel::kAvx2);
+  }
 
   // The explicit-tier table accessor mirrors availability.
   EXPECT_EQ(codec_kernel_fns(CodecKernel::kScalar).pack_f16,
             &detail::codec_pack_f16_scalar);
-  if (!codec_kernel_available(CodecKernel::kAvx2))
+  if (!codec_kernel_available(CodecKernel::kAvx2)) {
     EXPECT_THROW(codec_kernel_fns(CodecKernel::kAvx2), Error);
+  }
 }
 
 }  // namespace

@@ -358,7 +358,9 @@ TEST(DinarInitTest, ByzantineClientsDoNotDerailStrongMajority) {
     for (std::size_t i = 1; i < honest.proposals.size(); ++i) ++counts[honest.proposals[i]];
     int best = 0;
     for (auto& [k, v] : counts) best = std::max(best, v);
-    if (best >= 3) EXPECT_EQ(with_byz.agreed_layer, honest.agreed_layer);
+    if (best >= 3) {
+      EXPECT_EQ(with_byz.agreed_layer, honest.agreed_layer);
+    }
   }
 }
 

@@ -14,14 +14,17 @@
 //    overlap: every shard's accumulator stays open until its tail lands).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iterator>
 #include <map>
+#include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -36,6 +39,7 @@
 #include "util/error.h"
 #include "util/execution_context.h"
 #include "util/serde.h"
+#include "util/thread_pool.h"
 
 namespace dinar::fl {
 namespace {
@@ -183,6 +187,192 @@ TEST(RoundPipelineTest, CommitFailurePropagatesAfterDrainingTasks) {
                std::runtime_error);
   // The throw must not leave tasks running against a dead stack frame.
   EXPECT_EQ(tasks_done.load(), n);
+}
+
+// ---------------------------------------------- coordinator-run exchanges --
+//
+// The coordinator runs its own fixed share of the exchanges instead of
+// sleeping (DESIGN.md §13). These pin that schedule without timing
+// assumptions: rendezvous tasks can only all arrive if a third thread runs
+// one of them, and with two workers the only third thread is the
+// coordinator.
+
+// Blocks each arriving task until `parties` have arrived; a 10 s escape
+// hatch turns a schedule regression into a failure instead of a hang.
+class Rendezvous {
+ public:
+  explicit Rendezvous(int parties) : parties_(parties) {}
+  bool arrive_and_wait() {
+    arrived_.fetch_add(1);
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (arrived_.load() < parties_ && std::chrono::steady_clock::now() < deadline)
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    return arrived_.load() >= parties_;
+  }
+
+ private:
+  const int parties_;
+  std::atomic<int> arrived_{0};
+};
+
+TEST(RoundPipelineTest, CoordinatorRunsAnExchangeWhileBothWorkersAreBusy) {
+  // Two workers, five exchanges; indices 0..2 meet at a three-way
+  // rendezvous. Each worker blocks in one of them, so the third can only
+  // arrive on the coordinator's thread, and it is always index 2: the
+  // coordinator's share is fixed, never raced for.
+  ExecutionContext exec = make_exec(2);
+  const std::size_t n = 5;
+  const std::thread::id coordinator = std::this_thread::get_id();
+  Rendezvous meet(3);
+  std::vector<std::thread::id> ran_on(n);
+  std::atomic<int> met{0};
+  std::vector<std::size_t> commit_order;
+  RoundPipeline(PipelineMode::kStream, &exec)
+      .run(
+          n,
+          [&](std::size_t i) {
+            ran_on[i] = std::this_thread::get_id();
+            if (i < 3 && meet.arrive_and_wait()) met.fetch_add(1);
+          },
+          [&](std::size_t i) { commit_order.push_back(i); });
+  EXPECT_EQ(met.load(), 3) << "no third thread joined the two busy workers";
+  EXPECT_EQ(std::count(ran_on.begin(), ran_on.end(), coordinator), 1);
+  EXPECT_EQ(ran_on[2], coordinator);
+  EXPECT_EQ(commit_order, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
+}
+
+TEST(RoundPipelineTest, TailIndexNeverRunsOnTheCoordinator) {
+  // Index n-1 always stays on the pool, so the coordinator is free to
+  // commit everything below it while the tail runs.
+  ExecutionContext exec = make_exec(2);
+  const std::thread::id coordinator = std::this_thread::get_id();
+  for (std::size_t n = 1; n <= 6; ++n) {
+    for (int rep = 0; rep < 50; ++rep) {
+      std::thread::id tail_thread;
+      RoundPipeline(PipelineMode::kStream, &exec)
+          .run(
+              n,
+              [&](std::size_t i) {
+                if (i + 1 == n) tail_thread = std::this_thread::get_id();
+              },
+              [](std::size_t) {});
+      ASSERT_NE(tail_thread, coordinator) << "n=" << n << " rep " << rep;
+      ASSERT_NE(tail_thread, std::thread::id()) << "n=" << n << " rep " << rep;
+    }
+  }
+}
+
+TEST(RoundPipelineTest, LowestFailedIndexSurfacesWhenTheCoordinatorRanIt) {
+  // The rendezvous puts one of indices 0..2 on the coordinator (index 2,
+  // its fixed share); that one throws, and so does the tail on a worker.
+  // The coordinator's failure is the lowest, so it surfaces and commits
+  // stop right below it.
+  ExecutionContext exec = make_exec(2);
+  const std::size_t n = 5;
+  const std::thread::id coordinator = std::this_thread::get_id();
+  Rendezvous meet(3);
+  std::atomic<std::size_t> failed_here{n};
+  std::atomic<std::size_t> tasks_done{0};
+  std::vector<std::size_t> commit_order;
+  try {
+    RoundPipeline(PipelineMode::kStream, &exec)
+        .run(
+            n,
+            [&](std::size_t i) {
+              if (i < 3) meet.arrive_and_wait();
+              tasks_done.fetch_add(1);
+              if (i < 3 && std::this_thread::get_id() == coordinator) {
+                failed_here.store(i);
+                throw std::runtime_error("coordinator task " + std::to_string(i));
+              }
+              if (i == n - 1) throw std::runtime_error("tail task");
+            },
+            [&](std::size_t i) { commit_order.push_back(i); });
+    FAIL() << "expected an exception";
+  } catch (const std::runtime_error& e) {
+    ASSERT_EQ(failed_here.load(), 2u) << "index 2 did not run on the coordinator";
+    EXPECT_EQ(std::string(e.what()),
+              "coordinator task " + std::to_string(failed_here.load()));
+  }
+  std::vector<std::size_t> expected(failed_here.load());
+  for (std::size_t i = 0; i < expected.size(); ++i) expected[i] = i;
+  EXPECT_EQ(commit_order, expected);
+  EXPECT_EQ(tasks_done.load(), n) << "run() rethrew before every exchange drained";
+}
+
+TEST(RoundPipelineTest, EverySubmissionExitsBeforeRunReturns) {
+  // commit(0) throws as soon as it runs. On even reps the pool is still
+  // busy with a queue of slow submissions then; on odd reps the
+  // coordinator's own tasks are the slow ones, so commit(0) throws before
+  // the coordinator has run its whole share. Either way run() must still
+  // run every task once and wait for every submission to return before it
+  // rethrows: they point into its frame. The closures live on the heap and
+  // die right after run(), so on the sanitized leg a late submission is a
+  // reported use-after-free.
+  ExecutionContext exec = make_exec(2);
+  const std::thread::id coordinator = std::this_thread::get_id();
+  for (const std::size_t n : {8u, 24u}) {
+    for (int rep = 0; rep < 20; ++rep) {
+      const bool slow_pool = rep % 2 == 0;
+      std::atomic<std::size_t> on_coordinator{0};
+      auto runs = std::make_unique<std::vector<std::atomic<int>>>(n);
+      auto task = std::make_unique<std::function<void(std::size_t)>>(
+          [&, slow_pool, runs = runs.get()](std::size_t i) {
+            (*runs)[i].fetch_add(1);
+            const bool here = std::this_thread::get_id() == coordinator;
+            if (here) on_coordinator.fetch_add(1);
+            if (here != slow_pool)
+              std::this_thread::sleep_for(std::chrono::microseconds(200));
+          });
+      auto commit = std::make_unique<std::function<void(std::size_t)>>(
+          [](std::size_t) { throw std::runtime_error("commit boom"); });
+      EXPECT_THROW(RoundPipeline(PipelineMode::kStream, &exec).run(n, *task, *commit),
+                   std::runtime_error);
+      task.reset();
+      commit.reset();
+      for (std::size_t i = 0; i < n; ++i)
+        ASSERT_EQ((*runs)[i].load(), 1) << "index " << i << " n=" << n;
+      // Indices 2, 5, 8, ... below n-1 are the coordinator's share.
+      ASSERT_EQ(on_coordinator.load(), (n - 2) / 3) << "n=" << n << " rep " << rep;
+      runs.reset();
+    }
+  }
+}
+
+TEST(RoundPipelineTest, CoordinatorTaskRunsUnderTheWorkerMarker) {
+  // A task the coordinator runs sees on_worker_thread() == true, so its
+  // nested parallel sections run inline; the marker is gone afterwards.
+  ExecutionContext exec = make_exec(2);
+  const std::size_t n = 5;
+  const std::thread::id coordinator = std::this_thread::get_id();
+  Rendezvous meet(3);
+  std::atomic<int> coordinator_tasks{0};
+  std::atomic<int> marked{0};
+  std::atomic<int> nested_inline{0};
+  ASSERT_FALSE(ThreadPool::on_worker_thread());
+  RoundPipeline(PipelineMode::kStream, &exec)
+      .run(
+          n,
+          [&](std::size_t i) {
+            if (i < 3) meet.arrive_and_wait();
+            if (ThreadPool::on_worker_thread()) marked.fetch_add(1);
+            if (std::this_thread::get_id() != coordinator) return;
+            coordinator_tasks.fetch_add(1);
+            const std::thread::id here = std::this_thread::get_id();
+            std::atomic<bool> all_here{true};
+            exec.parallel_for(
+                4096,
+                [&](std::int64_t, std::int64_t) {
+                  if (std::this_thread::get_id() != here) all_here.store(false);
+                },
+                /*grain=*/1);
+            if (all_here.load()) nested_inline.fetch_add(1);
+          },
+          [&](std::size_t) { EXPECT_FALSE(ThreadPool::on_worker_thread()); });
+  EXPECT_GE(coordinator_tasks.load(), 1);
+  EXPECT_EQ(marked.load(), static_cast<int>(n));
+  EXPECT_EQ(nested_inline.load(), coordinator_tasks.load());
+  EXPECT_FALSE(ThreadPool::on_worker_thread());
 }
 
 // ------------------------------------------- simulation-level determinism --

@@ -31,7 +31,7 @@ inline void expect_gradients_match(nn::Model& model, const Tensor& x,
   Tensor w = Tensor::uniform(y.shape(), rng, -1.0f, 1.0f);
 
   model.zero_grad();
-  Tensor dx = model.backward(w);
+  Tensor dx = model.backward_with_input_grad(w);
 
   // Parameter gradients.
   for (const nn::ParamGroup& group : model.param_layers()) {

@@ -69,7 +69,9 @@ TEST(FrameReaderTest, ByteByByteFeedYieldsTheFrame) {
   for (std::size_t i = 0; i < framed.size(); ++i) {
     const bool last = i + 1 == framed.size();
     r.feed(&framed[i], 1);
-    if (!last) EXPECT_FALSE(r.next().has_value()) << "premature frame at byte " << i;
+    if (!last) {
+      EXPECT_FALSE(r.next().has_value()) << "premature frame at byte " << i;
+    }
   }
   const auto got = r.next();
   ASSERT_TRUE(got.has_value());
@@ -302,6 +304,26 @@ TEST(TcpTest, CorruptFrameEvictsWithBadChecksum) {
   ASSERT_TRUE(client.send_raw(framed));
   ASSERT_TRUE(
       eventually([&] { return echo.server.stats().evicted_bad_checksum == 1; }));
+}
+
+TEST(TcpTest, OversizeDecodedFrameEvictsAsAProtocolError) {
+  // A checksum-valid frame whose v3 payload declares a decoded arena over
+  // the cap (a decompression bomb) is a framing violation, not a close.
+  EchoServer echo;
+  std::atomic<int> last_reason{-1};
+  echo.server.set_disconnect_handler(
+      [&](int, EvictReason reason) { last_reason = static_cast<int>(reason); });
+  TcpClient client(client_config(echo.server.port()));
+  ASSERT_TRUE(client.ensure_connected());
+  ASSERT_TRUE(client.send_raw(frame(v3_message_payload(1ull << 40))));
+  ASSERT_TRUE(eventually([&] { return last_reason.load() != -1; }));
+  EXPECT_EQ(last_reason.load(), static_cast<int>(EvictReason::kOversizeDecoded));
+  EXPECT_STREQ(to_string(EvictReason::kOversizeDecoded), "oversize_decoded");
+  const ServerStats s = echo.server.stats();
+  EXPECT_EQ(s.evicted_oversize_decoded, 1u);
+  EXPECT_EQ(s.evicted_peer_closed, 0u);
+  EXPECT_EQ(s.protocol_errors(), 1u);
+  EXPECT_FALSE(client.recv_frame(2.0).has_value());  // observes the close
 }
 
 TEST(TcpTest, ClientReconnectsAfterEviction) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <memory>
 #include <span>
 #include <vector>
@@ -139,6 +140,35 @@ TEST(ModelTest, ZeroGradClearsAccumulation) {
   EXPECT_GT(nn::flat_l2_norm(m.gradients()), 0.0);
   m.zero_grad();
   EXPECT_EQ(nn::flat_l2_norm(m.gradients()), 0.0);
+}
+
+TEST(ModelTest, SkippingTheInputGradientKeepsParameterGradientsBitIdentical) {
+  // Model::backward skips the first layer's dL/d(input); the parameter
+  // gradients must be the same bits as the full chain's, for each kind of
+  // first layer that skips work (conv2d, conv1d, dense).
+  const auto check = [](Model m, const Tensor& x, const char* what) {
+    Model twin = m;
+    const Tensor y = m.forward(x, true);
+    twin.forward(x, true);
+    Rng rng(11);
+    const Tensor g = Tensor::uniform(y.shape(), rng, -1.0f, 1.0f);
+    m.zero_grad();
+    twin.zero_grad();
+    m.backward(g);
+    const Tensor dx = twin.backward_with_input_grad(g);
+    EXPECT_EQ(dx.shape(), x.shape()) << what;
+    const FlatParams a = m.gradients(), b = twin.gradients();
+    ASSERT_EQ(a.numel(), b.numel()) << what;
+    EXPECT_EQ(std::memcmp(a.as_span().data(), b.as_span().data(),
+                          a.as_span().size() * sizeof(float)),
+              0)
+        << what;
+    EXPECT_GT(nn::flat_l2_norm(a), 0.0) << what;
+  };
+  Rng rng(12);
+  check(make_vgg_small(3, 8, 5, 2, rng), Tensor::gaussian({3, 3, 8, 8}, rng), "vgg");
+  check(make_m5_audio(256, 4, rng), Tensor::gaussian({2, 1, 256}, rng), "m5");
+  check(make_tiny_mlp(4, 3, rng), Tensor::gaussian({5, 4}, rng), "mlp");
 }
 
 TEST(ModelTest, SummaryMentionsLayers) {

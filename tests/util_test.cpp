@@ -441,7 +441,7 @@ TEST(TimerTest, CumulativeAccumulates) {
 TEST(TimerTest, WallTimerMovesForward) {
   WallTimer t;
   volatile double sink = 0.0;
-  for (int i = 0; i < 100000; ++i) sink += i;
+  for (int i = 0; i < 100000; ++i) sink = sink + i;
   EXPECT_GE(t.elapsed_seconds(), 0.0);
 }
 

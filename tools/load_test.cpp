@@ -184,8 +184,7 @@ int serve(const std::string& dir, std::uint16_t port) {
       put_u32(resp, kStatRespTag);
       put_u64(resp, committed.load());
       put_u64(resp, s.protocol_errors());
-      put_u64(resp, s.evicted_bad_magic + s.evicted_oversize + s.evicted_bad_checksum +
-                        s.evicted_slow_peer + s.evicted_idle);
+      put_u64(resp, s.protocol_errors() + s.evicted_slow_peer + s.evicted_idle);
       put_u64(resp, s.tx_queue_drops);
       put_u64(resp, s.rx_queue_drops);
       put_u64(resp, seq_errors.load());
