@@ -7,9 +7,11 @@
 // GFLOP/s plus the SIMD-over-scalar speedup.
 //
 // `--smoke` is the CI gate: it fails unless the widest SIMD kernel beats
-// the scalar oracle by >= 2x on the 256x256x256 single-thread case. A full
-// run enforces the stronger >= 4x acceptance bar. On hosts (or builds)
-// without a SIMD kernel the gate is skipped: there is nothing to compare.
+// the scalar oracle by >= 2x on the 256x256x256 single-thread case, judged
+// on the median speedup of 5 paired scalar/SIMD timings. A full run
+// enforces the stronger >= 4x acceptance bar the same way. On hosts (or
+// builds) without a SIMD kernel the gate is skipped: there is nothing to
+// compare.
 #include <cstdio>
 #include <string>
 #include <tuple>
@@ -116,14 +118,24 @@ int run(int argc, char** argv) {
             .field("seconds_per_call", mm.seconds)
             .field("gflops", mm.gflops)
             .field("speedup_vs_scalar", speedup);
-        // The acceptance bar lives on the 256^3 single-thread case.
+        // The acceptance bar lives on the 256^3 single-thread case, on the
+        // median of kGateTimedRuns paired timings rather than the row's
+        // single sample.
         if (kernel != GemmKernel::kScalar && threads == 1 && m == 256 &&
             k == 256 && n == 256) {
           gate_checked = true;
-          std::printf("  256^3 single-thread %s speedup over scalar: %.2fx "
-                      "(gate >= %.1fx)\n",
-                      gemm_kernel_name(kernel), speedup, gate);
-          if (speedup < gate) gate_ok = false;
+          std::vector<double> speedups;
+          for (int run = 0; run < kGateTimedRuns; ++run) {
+            const Measurement scalar = time_gemm(m, k, n, GemmKernel::kScalar, ep, reps);
+            const Measurement simd = time_gemm(m, k, n, kernel, ep, reps);
+            sink += scalar.checksum + simd.checksum;
+            speedups.push_back(scalar.seconds / simd.seconds);
+          }
+          const double gate_speedup = median(speedups);
+          std::printf("  256^3 single-thread %s speedup over scalar: %.2fx, "
+                      "median of %d runs (gate >= %.1fx)\n",
+                      gemm_kernel_name(kernel), gate_speedup, kGateTimedRuns, gate);
+          if (gate_speedup < gate) gate_ok = false;
         }
       }
     }

@@ -17,11 +17,12 @@
 // straggler-laden federation — a real wall-clock sleeper at the tail of
 // each shard. The sequential cell (1 thread, the engine's inline
 // degradation) serializes every sleep; the threaded cells overlap them.
-// Gated: the threaded round rate must be >= 0.97x the sequential one
-// (sleeps don't burn CPU, so this holds on single-core CI runners) and
-// every cell must hash to the bit-identical final model. Every row also
-// carries the RoundPhaseTimings breakdown (downlink / train / uplink /
-// validate / shard / combine / commit). The legacy barriered engine this
+// Gated: the threaded round rate must be >= 0.97x the sequential one,
+// comparing each cell's median of 5 runs (sleeps don't burn CPU, so this
+// holds on single-core CI runners), and every run must hash to the
+// bit-identical final model. Every row also carries the
+// RoundPhaseTimings breakdown (downlink / train / uplink / validate /
+// shard / combine / commit). The legacy barriered engine this
 // sweep used to compare against was removed with its PipelineMode.
 //
 // Third sweep: sharded hierarchical aggregation (DESIGN.md §12) over a
@@ -122,6 +123,16 @@ ScalingResult run_scaling(const DatasetCase& spec, unsigned threads,
     out.phase.round_seconds += o.timings.round_seconds / n;
   }
   return out;
+}
+
+// The run with the median seconds_per_round (odd run counts).
+ScalingResult median_run(std::vector<ScalingResult> runs) {
+  const auto mid = runs.begin() + static_cast<std::ptrdiff_t>(runs.size() / 2);
+  std::nth_element(runs.begin(), mid, runs.end(),
+                   [](const ScalingResult& a, const ScalingResult& b) {
+                     return a.seconds_per_round < b.seconds_per_round;
+                   });
+  return *mid;
 }
 
 // Appends the per-phase breakdown to the row under construction.
@@ -274,7 +285,8 @@ int run(int argc, char** argv) {
   // (the engine's inline degradation) serializes every sleep; the threaded
   // cells run the sleepers concurrently and commit every other exchange
   // (and prefetch the next broadcast) inside them, so their round rate
-  // must be at least the sequential one — gated at 0.97x for timer noise.
+  // must be at least the sequential one — gated at 0.97x for timer noise,
+  // on each cell's median of kGateTimedRuns runs.
   // Sleeps don't burn CPU, so the gate holds on single-core CI runners
   // too. The cross-thread hash gate is exact: every cell must produce the
   // bit-identical final model.
@@ -292,16 +304,28 @@ int run(int argc, char** argv) {
     ScalingOpts opts;
     opts.num_shards = 4;
     opts.straggler_wall_seconds = straggler_wall;
-    const ScalingResult seq = run_scaling(spec, /*threads=*/1, opts);
+    // Every cell runs kGateTimedRuns times, interleaved so a slow stretch
+    // of the host hits all cells alike, and is represented by its median
+    // run; every run must hash to the first sequential run's model.
+    std::vector<unsigned> cell_threads{1u};
+    cell_threads.insert(cell_threads.end(), overlap_threads.begin(),
+                        overlap_threads.end());
+    std::vector<std::vector<ScalingResult>> runs(cell_threads.size());
+    for (int run = 0; run < kGateTimedRuns; ++run)
+      for (std::size_t c = 0; c < cell_threads.size(); ++c)
+        runs[c].push_back(run_scaling(spec, cell_threads[c], opts));
+    const std::uint64_t seq_hash = runs[0].front().final_hash;
+    const ScalingResult seq = median_run(runs[0]);
     const double seq_rps =
         seq.seconds_per_round > 0.0 ? 1.0 / seq.seconds_per_round : 0.0;
 
-    std::vector<std::pair<unsigned, ScalingResult>> cells{{1u, seq}};
-    for (const unsigned threads : overlap_threads)
-      cells.emplace_back(threads, run_scaling(spec, threads, opts));
-
-    for (const auto& [threads, cell] : cells) {
-      const bool hashes_match = cell.final_hash == seq.final_hash;
+    for (std::size_t c = 0; c < cell_threads.size(); ++c) {
+      const unsigned threads = cell_threads[c];
+      const ScalingResult cell = median_run(runs[c]);
+      const bool hashes_match =
+          std::all_of(runs[c].begin(), runs[c].end(), [&](const ScalingResult& r) {
+            return r.final_hash == seq_hash;
+          });
       const double rps =
           cell.seconds_per_round > 0.0 ? 1.0 / cell.seconds_per_round : 0.0;
       const bool rate_ok = threads == 1 || rps >= 0.97 * seq_rps;

@@ -311,6 +311,14 @@ unsigned parse_threads(int argc, char** argv) {
   return threads;
 }
 
+double median(std::vector<double> samples) {
+  DINAR_CHECK(!samples.empty(), "median of no samples");
+  const auto mid = samples.begin() + static_cast<std::ptrdiff_t>(samples.size() / 2);
+  std::nth_element(samples.begin(), mid, samples.end());
+  if (samples.size() % 2 == 1) return *mid;
+  return 0.5 * (*mid + *std::max_element(samples.begin(), mid));
+}
+
 namespace {
 
 std::string json_escape(const std::string& s) {

@@ -104,6 +104,14 @@ bool parse_flag(int argc, char** argv, const char* flag);
 // bit-identical for any value, only wall-clock changes.
 unsigned parse_threads(int argc, char** argv);
 
+// CI timing gates judge the median of this many timed runs, so one run
+// slowed by a busy host cannot flip the verdict.
+inline constexpr int kGateTimedRuns = 5;
+
+// Median of `samples` (non-empty; the mean of the two middle values for
+// an even count).
+double median(std::vector<double> samples);
+
 // Machine-readable companion to the printed tables: collects rows of named
 // values and writes them as a JSON array to BENCH_<NAME>.json (next to the
 // working directory the bench ran in), so successive runs can be tracked

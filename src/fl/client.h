@@ -33,6 +33,7 @@ class FlClient {
   // The personalized model the client would use for predictions.
   nn::Model& model() { return model_; }
   ClientDefense& defense() { return *defense_; }
+  const ClientDefense& defense() const { return *defense_; }
 
   // Installs the shared execution context on the client's model so local
   // training uses the blocked parallel kernels. The context must outlive

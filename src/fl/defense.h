@@ -33,6 +33,11 @@ class ClientDefense {
   virtual void save_state(BinaryWriter& /*w*/) const {}
   virtual void restore_state(BinaryReader& /*r*/) {}
 
+  // True if before_upload() pre-weights every upload (sets pre_weighted):
+  // the server must then sum the uploads exactly, so the simulation
+  // rejects it with a lossy update codec, robust aggregation or sharding.
+  virtual bool uploads_pre_weighted() const { return false; }
+
   // Invoked once before the first round, after the client's model exists.
   virtual void initialize(nn::Model& /*model*/, int /*client_id*/) {}
 

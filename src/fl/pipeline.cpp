@@ -93,10 +93,12 @@ void RoundPipeline::run(std::size_t n, const std::function<void(std::size_t)>& t
   for (std::size_t i = 0; i < n; ++i) {
     if (owned_here(i)) continue;
     exec_->submit([&st, &task, i] {
-      const std::exception_ptr err = run_task(task, i);
+      std::exception_ptr err = run_task(task, i);
       std::lock_guard<std::mutex> lock(st.mu);
       st.done[i] = true;
-      st.error[i] = err;
+      // Moved, not copied: the caller may rethrow and free the exception
+      // as soon as mu is released, so this thread keeps no reference.
+      st.error[i] = std::move(err);
       st.cv.notify_all();
     });
   }

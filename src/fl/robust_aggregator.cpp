@@ -88,7 +88,10 @@ double scored_sq_distance(std::span<const float> a, std::span<const float> b,
   return s;
 }
 
-double median_of(std::vector<double> v) {
+// Median of `v`, reordering it in place (even sizes average the two middle
+// elements). nth_element is deterministic, so the same input order always
+// gives the same bits (-0.0 vs +0.0 included).
+double median_in_place(std::span<double> v) {
   DINAR_CHECK(!v.empty(), "median of an empty set");
   const std::size_t mid = v.size() / 2;
   std::nth_element(v.begin(), v.begin() + static_cast<std::ptrdiff_t>(mid), v.end());
@@ -100,6 +103,8 @@ double median_of(std::vector<double> v) {
   }
   return m;
 }
+
+double median_of(std::vector<double> v) { return median_in_place(v); }
 
 double total_weight(std::span<const ModelUpdateMsg> updates,
                     const std::vector<std::size_t>& members) {
@@ -399,7 +404,7 @@ class CoordinateWiseAggregator : public RobustAggregator {
                       column.push_back(static_cast<double>(
                           updates[i].params.as_span()[static_cast<std::size_t>(j)]));
                     out[static_cast<std::size_t>(j)] =
-                        static_cast<float>(median_of(column));
+                        static_cast<float>(median_in_place(column));
                   }
                 });
     }

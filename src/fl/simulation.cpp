@@ -79,6 +79,8 @@ FederatedSimulation::FederatedSimulation(nn::ModelFactory model_factory,
                           rng_.fork(1000 + i));
   }
 
+  validate_defense_config();
+
   // One shared context for everything compute-bound: client kernels and the
   // server's aggregator loops all draw from the same pool.
   server_->set_execution_context(exec_.get());
@@ -180,6 +182,31 @@ void FederatedSimulation::validate_config() const {
   // Unknown encodings, out-of-range top-k fractions and sparse broadcast
   // codecs fail here with a named error.
   validate_codec_config(config_.codec);
+}
+
+void FederatedSimulation::validate_defense_config() const {
+  const auto pre_weighting =
+      std::find_if(clients_.begin(), clients_.end(), [](const FlClient& c) {
+        return c.defense().uploads_pre_weighted();
+      });
+  if (pre_weighting == clients_.end()) return;
+  // Pairwise masks cancel only in the exact, unweighted sum of every
+  // upload; each setting rejected below breaks that sum.
+  const std::string defense = pre_weighting->defense().name();
+  const KindCodec& update = config_.codec.update;
+  DINAR_CHECK(update.lossless(),
+              "defense '" << defense << "' uploads pre-weighted masked sums, which "
+                          << "a lossy update codec breaks ("
+                          << wire_encoding_name(update.encoding) << ", top-k "
+                          << update.topk_fraction << "); use dense f32 uploads");
+  DINAR_CHECK(aggregator_kind_from_name(config_.robust.method) == AggregatorKind::kFedAvg,
+              "defense '" << defense << "' uploads pre-weighted masked sums, which "
+                          << "robust.method '" << config_.robust.method
+                          << "' cannot aggregate; use fedavg");
+  DINAR_CHECK(config_.shard.num_shards == 1,
+              "defense '" << defense << "' uploads pre-weighted masked sums, which "
+                          << "shard.num_shards = " << config_.shard.num_shards
+                          << " splits across shards; use one shard");
 }
 
 void FederatedSimulation::run() {

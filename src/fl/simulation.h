@@ -355,6 +355,9 @@ class FederatedSimulation {
 
  private:
   void validate_config() const;
+  // The config checks that depend on the clients' defense (run once the
+  // clients exist): pre-weighted uploads need an exact, flat FedAvg sum.
+  void validate_defense_config() const;
   std::vector<std::size_t> select_participants(std::int64_t round);
 
   // -- round stages (run_round calls them in this order) --------------------

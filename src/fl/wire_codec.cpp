@@ -1,6 +1,7 @@
 #include "fl/wire_codec.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <vector>
@@ -97,6 +98,57 @@ void read_coded_values(BinaryReader& r, WireEncoding e, std::size_t n,
   }
 }
 
+// Sign-cleared bit pattern of a finite float. Non-negative finite floats
+// order exactly as their u32 bit patterns (the exponent sits above the
+// mantissa, subnormals below the normals), so keys order like |x|, and
+// -0.0 and +0.0 share key 0 just as fabs() makes them equal.
+std::uint32_t magnitude_key(float x) {
+  return std::bit_cast<std::uint32_t>(x) & 0x7FFFFFFFu;
+}
+
+// The k-th largest magnitude key of `v`, and how many entries at exactly
+// that key belong to the top k (the rest of the top k lie above it).
+struct TopKThreshold {
+  std::uint32_t key = 0;
+  std::size_t ties_kept = 0;
+};
+
+// Two-pass 16-bit radix select over magnitude_key (1 <= k <= v.size(),
+// every entry finite): pass 1 histograms the high halves and walks down
+// from the largest to the bucket holding the k-th key; pass 2 does the
+// same for the low halves inside that bucket. Linear in v.size(); the
+// histograms are per-thread and left all-zero between calls (each pass
+// clears the bins the previous one filled).
+TopKThreshold topk_threshold(std::span<const float> v, std::size_t k) {
+  thread_local std::vector<std::uint32_t> high_hist(1u << 16);
+  thread_local std::vector<std::uint32_t> low_hist(1u << 16);
+  std::uint32_t top = 0;
+  for (const float x : v) {
+    const std::uint32_t h = magnitude_key(x) >> 16;
+    ++high_hist[h];
+    top = std::max(top, h);
+  }
+  std::size_t above = 0;  // entries with a larger key than the current bin
+  std::uint32_t high = top;
+  while (above + high_hist[high] < k) above += high_hist[high--];
+
+  top = 0;
+  for (const float x : v) {
+    const std::uint32_t key = magnitude_key(x);
+    high_hist[key >> 16] = 0;
+    if ((key >> 16) != high) continue;
+    ++low_hist[key & 0xFFFFu];
+    top = std::max(top, key & 0xFFFFu);
+  }
+  std::uint32_t low = top;
+  while (above + low_hist[low] < k) above += low_hist[low--];
+  for (const float x : v) {
+    const std::uint32_t key = magnitude_key(x);
+    if ((key >> 16) == high) low_hist[key & 0xFFFFu] = 0;
+  }
+  return {(high << 16) | low, k - above};
+}
+
 void write_dense_f32(BinaryWriter& w, std::span<const float> vals) {
   w.write_u8(static_cast<std::uint8_t>(WireEncoding::kF32));
   w.write_u8(0);
@@ -141,23 +193,23 @@ void write_entry_run(BinaryWriter& w, const nn::FlatParams& p, std::size_t i,
     std::size_t k = static_cast<std::size_t>(
         std::ceil(codec.topk_fraction * static_cast<double>(n)));
     k = std::min(n, std::max<std::size_t>(1, k));
-    std::vector<std::uint32_t> idx(n);
-    for (std::size_t j = 0; j < n; ++j) idx[j] = static_cast<std::uint32_t>(j);
     // Largest |delta| first, ties to the lower index — a total order, so
-    // the kept set is deterministic.
-    const auto by_magnitude = [&](std::uint32_t a, std::uint32_t b) {
-      const float aa = std::fabs(delta[a]);
-      const float ab = std::fabs(delta[b]);
-      if (aa != ab) return aa > ab;
-      return a < b;
-    };
-    if (k < n)
-      std::nth_element(idx.begin(), idx.begin() + static_cast<std::ptrdiff_t>(k),
-                       idx.end(), by_magnitude);
-    idx.resize(k);
-    std::sort(idx.begin(), idx.end());
+    // the kept set is deterministic. Keep every delta above the k-th
+    // largest magnitude, then the lowest-index ties at it, in one
+    // ascending scan (so the indices come out sorted).
+    const TopKThreshold cut = topk_threshold(delta, k);
+    std::vector<std::uint32_t> idx(k);
     std::vector<float> vals(k);
-    for (std::size_t j = 0; j < k; ++j) vals[j] = delta[idx[j]];
+    std::size_t kept = 0;
+    std::size_t ties = cut.ties_kept;
+    for (std::size_t j = 0; j < n; ++j) {
+      const std::uint32_t key = magnitude_key(delta[j]);
+      if (key < cut.key || (key == cut.key && ties == 0)) continue;
+      if (key == cut.key) --ties;
+      idx[kept] = static_cast<std::uint32_t>(j);
+      vals[kept] = delta[j];
+      ++kept;
+    }
     float scale = 1.0f;
     if (enc == WireEncoding::kInt8)
       scale = int8_scale(kf.absmax(vals.data(), k).max_abs);

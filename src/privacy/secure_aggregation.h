@@ -47,6 +47,7 @@ class SecureAggregationDefense final : public fl::ClientDefense {
                            int client_id);
 
   std::string name() const override { return "sa"; }
+  bool uploads_pre_weighted() const override { return true; }
   nn::FlatParams before_upload(nn::Model& model, nn::FlatParams params,
                                std::int64_t num_samples, bool& pre_weighted) override;
 

@@ -1,8 +1,10 @@
 #include "store/wal.h"
 
 #include <fcntl.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -37,6 +39,33 @@ void write_all_fd(int fd, const std::uint8_t* data, std::size_t n,
     }
     data += w;
     n -= static_cast<std::size_t>(w);
+  }
+}
+
+// Writes bytes [begin, end) of the frame `header ++ payload` with writev,
+// so the payload goes to the kernel straight from the caller's buffer.
+void write_frame_range(int fd, const std::uint8_t* header,
+                       std::span<const std::uint8_t> payload, std::size_t begin,
+                       std::size_t end, const std::string& path) {
+  while (begin < end) {
+    iovec iov[2];
+    int count = 0;
+    if (begin < kFrameHeaderBytes) {
+      iov[count++] = {const_cast<std::uint8_t*>(header) + begin,
+                      std::min(end, kFrameHeaderBytes) - begin};
+    }
+    if (end > kFrameHeaderBytes) {
+      const std::size_t from = std::max(begin, kFrameHeaderBytes) - kFrameHeaderBytes;
+      iov[count++] = {const_cast<std::uint8_t*>(payload.data()) + from,
+                      end - kFrameHeaderBytes - from};
+    }
+    const ssize_t w = ::writev(fd, iov, count);
+    if (w < 0) {
+      if (errno == EINTR) continue;
+      DINAR_CHECK(false, "WAL write to " << path << " failed: "
+                                         << std::strerror(errno));
+    }
+    begin += static_cast<std::size_t>(w);
   }
 }
 
@@ -116,30 +145,28 @@ void Wal::append(std::span<const std::uint8_t> payload) {
   DINAR_CHECK(payload.size() <= kMaxRecordBytes,
               "WAL record of " << payload.size() << " bytes exceeds the "
                                << kMaxRecordBytes << "-byte frame limit");
-  std::vector<std::uint8_t> frame(kFrameHeaderBytes + payload.size());
-  put_u32(frame.data(), static_cast<std::uint32_t>(payload.size()));
-  put_u32(frame.data() + 4, crc32(payload.data(), payload.size()));
-  if (!payload.empty())  // empty span's data() is null; memcpy forbids null
-    std::memcpy(frame.data() + kFrameHeaderBytes, payload.data(),
-                payload.size());
+  std::uint8_t header[kFrameHeaderBytes];
+  put_u32(header, static_cast<std::uint32_t>(payload.size()));
+  put_u32(header + 4, crc32(payload.data(), payload.size()));
+  const std::size_t frame_bytes = kFrameHeaderBytes + payload.size();
 
   crashpoint("wal.append.pre_write");
   if (crashpoint_armed()) {
     // Split the write so the mid_write crashpoint leaves a genuinely torn
     // frame (header + partial payload) on disk. Unarmed processes keep the
     // single-write fast path.
-    const std::size_t half = frame.size() / 2;
-    write_all_fd(fd_, frame.data(), half, path_);
+    const std::size_t half = frame_bytes / 2;
+    write_frame_range(fd_, header, payload, 0, half, path_);
     crashpoint("wal.append.mid_write");
-    write_all_fd(fd_, frame.data() + half, frame.size() - half, path_);
+    write_frame_range(fd_, header, payload, half, frame_bytes, path_);
   } else {
-    write_all_fd(fd_, frame.data(), frame.size(), path_);
+    write_frame_range(fd_, header, payload, 0, frame_bytes, path_);
   }
   crashpoint("wal.append.pre_fsync");
   DINAR_CHECK(::fsync(fd_) == 0,
               "fsync of WAL " << path_ << " failed: " << std::strerror(errno));
   crashpoint("wal.append.post_fsync");
-  cursor_ += frame.size();
+  cursor_ += frame_bytes;
 }
 
 void Wal::reset() {

@@ -4,11 +4,12 @@
 //   [u32 magic 'DWAL'][u32 version]
 //   record*:  [u32 payload_len][u32 crc32(payload)][payload bytes]
 //
-// Append durability: each append() writes the frame with a single write()
-// and fsyncs before returning, so an acked record survives kill -9 and
-// power loss. A crash *during* an append leaves a torn tail: a partial
-// header, a header whose payload is cut short, or a complete frame whose
-// CRC does not match the (partially written or bit-rotted) payload.
+// Append durability: each append() writes the frame with a single writev()
+// (header and payload, no staging copy of the payload) and fsyncs before
+// returning, so an acked record survives kill -9 and power loss. A crash
+// *during* an append leaves a torn tail: a partial header, a header whose
+// payload is cut short, or a complete frame whose CRC does not match the
+// (partially written or bit-rotted) payload.
 //
 // Recovery contract (scan()): return the longest valid prefix of records
 // and stop at the first frame that is incomplete, overlong, or fails its

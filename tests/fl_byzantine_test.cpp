@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 
@@ -101,6 +102,66 @@ TEST(RobustAggregatorTest, MedianOutvotesAndQuarantinesMinorityOutlier) {
   EXPECT_EQ(r.flags[0].client_id, 4);
   EXPECT_TRUE(r.flags[0].excluded);
   EXPECT_NE(r.flags[0].reason.find("median-outlier"), std::string::npos);
+}
+
+// The per-coordinate median the aggregator took before it reused its
+// column in place: a copy per coordinate, nth_element, and the mean of the
+// two middle values for even counts. Kept as the bit-exact oracle.
+float oracle_median(std::vector<double> v) {
+  const std::size_t mid = v.size() / 2;
+  std::nth_element(v.begin(), v.begin() + static_cast<std::ptrdiff_t>(mid), v.end());
+  double m = v[mid];
+  if (v.size() % 2 == 0)
+    m = 0.5 * (m + *std::max_element(v.begin(), v.begin() + static_cast<std::ptrdiff_t>(mid)));
+  return static_cast<float>(m);
+}
+
+TEST(RobustAggregatorTest, MedianIsBitEqualToThePerCoordinateOracle) {
+  RobustConfig cfg;
+  cfg.method = "median";
+  cfg.outlier_threshold = 1e9;  // disarm the screen: test the statistic alone
+  ExecConfig exec_cfg;
+  exec_cfg.threads = 2;
+  ExecutionContext exec(exec_cfg);
+  for (const std::size_t members : {3u, 4u, 5u, 6u, 7u}) {
+    Rng rng(100 + members);
+    const std::int64_t n = 1500;
+    std::vector<ModelUpdateMsg> updates(members);
+    for (std::size_t i = 0; i < members; ++i) {
+      std::vector<float> a(static_cast<std::size_t>(n - 7));
+      std::vector<float> b(7);
+      for (float& v : a) {
+        // Thirds: full-precision values, values on a coarse grid (ties),
+        // and signed zeros (the median's sign bit must match too).
+        const double kind = rng.uniform();
+        v = kind < 1.0 / 3 ? static_cast<float>(rng.gaussian())
+            : kind < 2.0 / 3 ? std::round(static_cast<float>(rng.gaussian()) * 4.0f) / 4.0f
+                             : (rng.uniform() < 0.5 ? 0.0f : -0.0f);
+      }
+      for (float& v : b) v = static_cast<float>(rng.gaussian());
+      updates[i].client_id = static_cast<int>(i);
+      updates[i].num_samples = 1 + static_cast<std::int64_t>(i);
+      updates[i].params = nn::FlatParams::from_tensors(
+          {Tensor({n - 7}, std::move(a)), Tensor({7}, std::move(b))});
+    }
+    const nn::FlatParams global(updates.front().params.index());
+    for (const ExecutionContext* ctx : {static_cast<const ExecutionContext*>(nullptr),
+                                        static_cast<const ExecutionContext*>(&exec)}) {
+      auto agg = make_robust_aggregator(cfg);
+      agg->set_execution_context(ctx);
+      const RobustAggregateResult r = agg->aggregate(updates, global);
+      ASSERT_TRUE(r.flags.empty());
+      const std::span<const float> out = r.params.as_span();
+      for (std::size_t j = 0; j < out.size(); ++j) {
+        std::vector<double> column;
+        for (const ModelUpdateMsg& u : updates)
+          column.push_back(static_cast<double>(u.params.as_span()[j]));
+        const float expected = oracle_median(column);
+        ASSERT_EQ(std::bit_cast<std::uint32_t>(out[j]), std::bit_cast<std::uint32_t>(expected))
+            << members << " members, coordinate " << j;
+      }
+    }
+  }
 }
 
 TEST(RobustAggregatorTest, TrimmedMeanDropsBothExtremes) {

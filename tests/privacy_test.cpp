@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
+#include <string>
 
 #include "privacy/defense_catalog.h"
 #include "privacy/dp.h"
@@ -264,6 +266,90 @@ TEST(DefenseCatalogTest, BundleDefensesCarryExpectedNames) {
   EXPECT_EQ(make_baseline_bundle("cdp", cfg).make_server()->name(), "cdp");
   EXPECT_EQ(make_baseline_bundle("sa", cfg).make_client(1)->name(), "sa");
   EXPECT_EQ(make_baseline_bundle("gc", cfg).make_client(0)->name(), "gc");
+}
+
+// ------------------------------------------------- SA config rejections --
+
+// A 4-client federation over SA (or another baseline) with `tweak` applied
+// to an otherwise valid config; constructing it runs the config checks.
+void build_federation(const std::string& defense,
+                      const std::function<void(fl::SimulationConfig&)>& tweak) {
+  Rng rng(31);
+  data::FlSplitConfig split_cfg;
+  split_cfg.num_clients = 4;
+  data::FlSplit split =
+      data::make_fl_split(dinar::testing::make_easy_dataset(200, rng), split_cfg, rng);
+  BaselineDefenseConfig defense_cfg;
+  defense_cfg.num_clients = 4;
+  fl::SimulationConfig cfg;
+  cfg.rounds = 1;
+  tweak(cfg);
+  fl::FederatedSimulation sim(dinar::testing::tiny_mlp_factory(2, 2), std::move(split),
+                              cfg, make_baseline_bundle(defense, defense_cfg));
+}
+
+// Expects constructing the SA federation to throw an error that names the
+// defense and `setting`.
+void expect_sa_rejected(const std::function<void(fl::SimulationConfig&)>& tweak,
+                        const std::string& setting) {
+  try {
+    build_federation("sa", tweak);
+    FAIL() << "SA with " << setting << " was accepted";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("defense 'sa'"), std::string::npos) << what;
+    EXPECT_NE(what.find(setting), std::string::npos) << what;
+  }
+}
+
+TEST(SecureAggregationConfigTest, OnlySaUploadsArePreWeighted) {
+  BaselineDefenseConfig cfg;
+  for (const char* name : {"none", "ldp", "wdp", "gc", "sa"})
+    EXPECT_EQ(make_baseline_bundle(name, cfg).make_client(0)->uploads_pre_weighted(),
+              std::string(name) == "sa")
+        << name;
+}
+
+TEST(SecureAggregationConfigTest, RejectsALossyUpdateCodec) {
+  expect_sa_rejected(
+      [](fl::SimulationConfig& c) {
+        c.codec.update.encoding = fl::WireEncoding::kInt8;
+        c.codec.update.topk_fraction = 0.1;
+      },
+      "lossy update codec");
+  expect_sa_rejected(
+      [](fl::SimulationConfig& c) { c.codec.update.encoding = fl::WireEncoding::kF16; },
+      "lossy update codec");
+  expect_sa_rejected([](fl::SimulationConfig& c) { c.codec.update.topk_fraction = 0.5; },
+                     "lossy update codec");
+}
+
+TEST(SecureAggregationConfigTest, RejectsRobustAggregation) {
+  for (const std::string& method : fl::robust_aggregator_names()) {
+    if (method == "fedavg") continue;
+    expect_sa_rejected([&](fl::SimulationConfig& c) { c.robust.method = method; },
+                       "robust.method '" + method + "'");
+  }
+}
+
+TEST(SecureAggregationConfigTest, RejectsSharding) {
+  expect_sa_rejected([](fl::SimulationConfig& c) { c.shard.num_shards = 2; },
+                     "shard.num_shards = 2");
+}
+
+TEST(SecureAggregationConfigTest, AcceptsTheExactConfigurations) {
+  // Plain FedAvg over one shard with dense f32 uploads, and a lossy
+  // broadcast (SA masks only the uplink).
+  EXPECT_NO_THROW(build_federation("sa", [](fl::SimulationConfig&) {}));
+  EXPECT_NO_THROW(build_federation("sa", [](fl::SimulationConfig& c) {
+    c.codec.broadcast.encoding = fl::WireEncoding::kF16;
+  }));
+  // The rejected settings stay valid for the other defenses.
+  EXPECT_NO_THROW(build_federation("ldp", [](fl::SimulationConfig& c) {
+    c.codec.update.encoding = fl::WireEncoding::kInt8;
+    c.robust.method = "median";
+    c.shard.num_shards = 2;
+  }));
 }
 
 }  // namespace

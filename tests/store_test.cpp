@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 
@@ -55,6 +56,55 @@ TEST(Crc32Test, SeedChainsBuffers) {
   const char* s = "123456789";
   const std::uint32_t part = store::crc32(s, 4);
   EXPECT_EQ(store::crc32(s + 4, 5, part), store::crc32(s, 9));
+}
+
+// The bytewise table loop crc32 used before slice-by-8: the oracle every
+// slice-by-8 value must equal, so stores written by either recover alike.
+std::uint32_t bytewise_crc32(const std::uint8_t* p, std::size_t n,
+                             std::uint32_t seed = 0) {
+  std::uint32_t table[256];
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t c = i;
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    table[i] = c;
+  }
+  std::uint32_t c = seed ^ 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < n; ++i) c = table[(c ^ p[i]) & 0xFFu] ^ (c >> 8);
+  return c ^ 0xFFFFFFFFu;
+}
+
+std::vector<std::uint8_t> pseudo_random_bytes(std::size_t n) {
+  std::vector<std::uint8_t> bytes(n);
+  std::uint32_t x = 0x9E3779B9u;
+  for (std::uint8_t& b : bytes) {
+    x = x * 1664525u + 1013904223u;
+    b = static_cast<std::uint8_t>(x >> 24);
+  }
+  return bytes;
+}
+
+TEST(Crc32Test, MatchesBytewiseOracleAtEveryLengthAndAlignment) {
+  const std::vector<std::uint8_t> bytes = pseudo_random_bytes(64 + 8);
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t n = 0; n <= 64; ++n) {
+      const std::uint8_t* p = bytes.data() + offset;
+      EXPECT_EQ(store::crc32(p, n), bytewise_crc32(p, n))
+          << "offset " << offset << " length " << n;
+      EXPECT_EQ(store::crc32(p, n, 0xDEADBEEFu), bytewise_crc32(p, n, 0xDEADBEEFu))
+          << "seeded, offset " << offset << " length " << n;
+    }
+  }
+}
+
+TEST(Crc32Test, SeedChainsAcrossEverySplitPoint) {
+  const std::vector<std::uint8_t> bytes = pseudo_random_bytes(100);
+  const std::uint32_t whole = bytewise_crc32(bytes.data(), bytes.size());
+  EXPECT_EQ(store::crc32(bytes.data(), bytes.size()), whole);
+  for (std::size_t split = 0; split <= bytes.size(); ++split) {
+    const std::uint32_t head = store::crc32(bytes.data(), split);
+    EXPECT_EQ(store::crc32(bytes.data() + split, bytes.size() - split, head), whole)
+        << "split at " << split;
+  }
 }
 
 // -------------------------------------------------------- atomic_write_file --
@@ -205,6 +255,62 @@ TEST(CrashpointDeathTest, HitCountDelaysTheKill) {
         crashpoint("test.site");
       },
       ::testing::ExitedWithCode(kCrashpointExitCode), "dying at test.site");
+}
+
+// The armed append splits its frame write in two around mid_write: what
+// reaches the disk is exactly the first half of header ++ payload.
+TEST(CrashpointDeathTest, MidWriteAppendLeavesATornHalfFrame) {
+  const std::string path = fresh_dir("wal_mid_write") + "/wal.log";
+  {
+    store::Wal wal(path);
+    wal.append(bytes_of({1, 2, 3}));
+  }
+  const std::vector<std::uint8_t> payload = pseudo_random_bytes(100);
+  EXPECT_EXIT(
+      {
+        store::Wal wal(path);
+        crashpoint_arm("wal.append.mid_write", 1);
+        wal.append(payload);
+      },
+      ::testing::ExitedWithCode(kCrashpointExitCode), "dying at wal.append.mid_write");
+
+  const std::size_t before = 8 + (8 + 3);  // file header + the intact frame
+  const std::size_t torn = (8 + payload.size()) / 2;
+  const auto bytes = store::read_file(path);
+  ASSERT_TRUE(bytes.has_value());
+  ASSERT_EQ(bytes->size(), before + torn);
+  std::uint32_t len = 0;
+  std::uint32_t crc = 0;
+  std::memcpy(&len, bytes->data() + before, 4);
+  std::memcpy(&crc, bytes->data() + before + 4, 4);
+  EXPECT_EQ(len, payload.size());
+  EXPECT_EQ(crc, store::crc32(payload.data(), payload.size()));
+  EXPECT_TRUE(std::equal(bytes->begin() + static_cast<std::ptrdiff_t>(before + 8),
+                         bytes->end(), payload.begin()));
+
+  const auto scan = store::Wal::scan(path);
+  ASSERT_EQ(scan.records.size(), 1u);
+  EXPECT_EQ(scan.records[0], bytes_of({1, 2, 3}));
+  EXPECT_TRUE(scan.tail_discarded);
+}
+
+// Any armed crashpoint switches appends to the split write; when the kill
+// is armed elsewhere both halves must land, forming one intact frame.
+TEST(CrashpointTest, SplitAppendWritesTheWholeFrameWhenArmedElsewhere) {
+  const std::string path = fresh_dir("wal_split_write") + "/wal.log";
+  const std::vector<std::uint8_t> odd = pseudo_random_bytes(101);
+  const std::vector<std::uint8_t> tiny = bytes_of({9});
+  {
+    store::Wal wal(path);
+    crashpoint_arm("some.other.site", 1);
+    wal.append(odd);
+    wal.append(tiny);  // the split falls inside the 8-byte header
+    wal.append({});
+    crashpoint_disarm();
+  }
+  const auto scan = store::Wal::scan(path);
+  EXPECT_EQ(scan.records, (std::vector<std::vector<std::uint8_t>>{odd, tiny, {}}));
+  EXPECT_FALSE(scan.tail_discarded);
 }
 
 TEST(CrashpointTest, UnarmedAndMismatchedSitesAreNoOps) {

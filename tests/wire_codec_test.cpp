@@ -12,6 +12,7 @@
 // socket transport.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -21,6 +22,7 @@
 #include "fl/simulation.h"
 #include "fl/wire_codec.h"
 #include "nn/flat_params.h"
+#include "tensor/codec_kernels.h"
 #include "test_helpers.h"
 #include "util/error.h"
 #include "util/serde.h"
@@ -327,6 +329,164 @@ TEST(WireCodecTest, SparseInt8RoundTripsThroughScaledDeltas) {
     EXPECT_GE(d, lo);
     EXPECT_LE(d, hi);
   }
+}
+
+// ----------------------------------------- top-k selection vs its oracle --
+
+// The selection the sparse encoder made before its radix select, kept as
+// the oracle: nth_element + sort through an index array, largest |delta|
+// first, ties to the lower index.
+std::vector<std::uint32_t> oracle_topk(const std::vector<float>& delta,
+                                       std::size_t k) {
+  const std::size_t n = delta.size();
+  std::vector<std::uint32_t> idx(n);
+  for (std::size_t j = 0; j < n; ++j) idx[j] = static_cast<std::uint32_t>(j);
+  const auto by_magnitude = [&](std::uint32_t a, std::uint32_t b) {
+    const float aa = std::fabs(delta[a]);
+    const float ab = std::fabs(delta[b]);
+    if (aa != ab) return aa > ab;
+    return a < b;
+  };
+  if (k < n)
+    std::nth_element(idx.begin(), idx.begin() + static_cast<std::ptrdiff_t>(k),
+                     idx.end(), by_magnitude);
+  idx.resize(k);
+  std::sort(idx.begin(), idx.end());
+  return idx;
+}
+
+// The update frame the encoder must emit for `u`, a one-entry model coded
+// sparse against `ref`: header and layer index as in the dense forced-v3
+// frame of the same message, then the sparse run of the oracle's selection.
+std::vector<std::uint8_t> oracle_sparse_frame(const fl::ModelUpdateMsg& u,
+                                              const nn::FlatParams& ref,
+                                              const fl::KindCodec& codec) {
+  const std::span<const float> p = u.params.as_span();
+  const std::size_t n = p.size();
+  std::vector<float> delta(n);
+  for (std::size_t j = 0; j < n; ++j) delta[j] = p[j] - ref.as_span()[j];
+  std::size_t k = static_cast<std::size_t>(
+      std::ceil(codec.topk_fraction * static_cast<double>(n)));
+  k = std::min(n, std::max<std::size_t>(1, k));
+  const std::vector<std::uint32_t> idx = oracle_topk(delta, k);
+  std::vector<float> vals(k);
+  float max_abs = 0.0f;
+  for (std::size_t j = 0; j < k; ++j) {
+    vals[j] = delta[idx[j]];
+    max_abs = std::max(max_abs, std::fabs(vals[j]));
+  }
+
+  fl::KindCodec dense = codec_of(fl::WireEncoding::kF32);
+  dense.force_v3 = true;
+  std::vector<std::uint8_t> frame = u.serialize(dense, &ref);
+  frame.resize(frame.size() - (2 + n * sizeof(float)));  // drop the dense run
+
+  BinaryWriter w;
+  w.write_u8(static_cast<std::uint8_t>(codec.encoding));
+  w.write_u8(1);  // sparse
+  float scale = 1.0f;
+  if (codec.encoding == fl::WireEncoding::kInt8) {
+    scale = max_abs / 127.0f;
+    if (!(scale > 0.0f)) scale = 1.0f;
+    w.write_f32(scale);
+  }
+  w.write_u64(k);
+  w.write_bytes(idx.data(), k * sizeof(std::uint32_t));
+  if (codec.encoding == fl::WireEncoding::kInt8) {
+    std::vector<std::int8_t> packed(k);
+    detail::codec_kernel_fns().pack_i8(vals.data(), k, 1.0f / scale, packed.data());
+    w.write_bytes(packed.data(), k);
+  } else {
+    w.write_bytes(vals.data(), k * sizeof(float));
+  }
+  const std::vector<std::uint8_t> run = w.take();
+  frame.insert(frame.end(), run.begin(), run.end());
+  return frame;
+}
+
+// Encodes ref + delta keeping each k in `ks` (f32 and int8 values) and
+// byte-compares every frame with the oracle's.
+void expect_topk_matches_oracle(const std::vector<float>& ref_values,
+                                const std::vector<float>& values,
+                                const std::vector<std::size_t>& ks) {
+  const auto n = static_cast<std::int64_t>(values.size());
+  const nn::FlatParams ref =
+      nn::FlatParams::from_tensors({Tensor({n}, ref_values)});
+  fl::ModelUpdateMsg u;
+  u.client_id = 2;
+  u.num_samples = 5;
+  u.params = nn::FlatParams::from_tensors({Tensor({n}, values)});
+  for (const std::size_t k : ks) {
+    // ceil((k - 0.5) / n * n) == k, and k == n still stays below 1.0.
+    const double fraction = (static_cast<double>(k) - 0.5) / static_cast<double>(n);
+    for (const fl::WireEncoding e : {fl::WireEncoding::kF32, fl::WireEncoding::kInt8}) {
+      const fl::KindCodec codec = codec_of(e, fraction);
+      EXPECT_EQ(u.serialize(codec, &ref), oracle_sparse_frame(u, ref, codec))
+          << "n " << n << " k " << k << " encoding " << fl::wire_encoding_name(e);
+    }
+  }
+}
+
+std::vector<std::size_t> every_k(std::size_t n) {
+  std::vector<std::size_t> ks;
+  for (std::size_t k = 1; k <= n; ++k) ks.push_back(k);
+  return ks;
+}
+
+TEST(WireCodecTest, TopKMatchesOracleOnAllEqualMagnitudes) {
+  const std::vector<float> ref(16, 1.0f);
+  std::vector<float> p(16, 1.25f);
+  expect_topk_matches_oracle(ref, p, every_k(16));
+}
+
+TEST(WireCodecTest, TopKMatchesOracleOnOppositeSignTies) {
+  const std::vector<float> ref(16, 0.0f);
+  const std::vector<float> p{0.5f, -0.5f, 0.5f,  -0.5f, 1.0f,  -1.0f, 0.5f, -0.5f,
+                             -1.0f, 1.0f, -0.5f, 0.25f, -0.25f, 0.5f, 2.0f, -2.0f};
+  expect_topk_matches_oracle(ref, p, every_k(16));
+}
+
+TEST(WireCodecTest, TopKMatchesOracleOnSignedZeros) {
+  const std::vector<float> ref(12, 0.0f);
+  const std::vector<float> p{0.0f, -0.0f, 3.0f,  -0.0f, 0.0f, -3.0f,
+                             -0.0f, 0.0f, 1e-3f, -0.0f, 0.0f, -0.0f};
+  expect_topk_matches_oracle(ref, p, every_k(12));
+}
+
+TEST(WireCodecTest, TopKMatchesOracleOnSubnormals) {
+  const float d = std::numeric_limits<float>::denorm_min();
+  const float m = std::numeric_limits<float>::min();  // smallest normal
+  const std::vector<float> ref(14, 0.0f);
+  const std::vector<float> p{d,     -d,     3 * d, 0.0f,    -3 * d, 1000 * d, m,
+                             -0.0f, 65537 * d, -1000 * d, m - d, 2 * d, -m, d};
+  expect_topk_matches_oracle(ref, p, every_k(14));
+}
+
+TEST(WireCodecTest, TopKMatchesOracleOnASingleCoordinate) {
+  expect_topk_matches_oracle({1.0f}, {1.3f}, {1});
+  expect_topk_matches_oracle({1.0f}, {1.0f}, {1});  // a zero delta is still kept
+}
+
+TEST(WireCodecTest, TopKMatchesOracleOnLargeEntriesWithManyTies) {
+  Rng rng(17);
+  const std::size_t n = 3000;
+  const auto on_grid = [&] {  // a multiple of 1/64: sums and deltas stay exact
+    return std::round(static_cast<float>(rng.gaussian()) * 64.0f) / 64.0f;
+  };
+  std::vector<float> coarse_ref(n);
+  std::vector<float> coarse(n);  // deltas on the grid: long runs of ties
+  std::vector<float> fine_ref(n);
+  std::vector<float> fine(n);  // full-precision deltas over many binades
+  for (std::size_t j = 0; j < n; ++j) {
+    coarse_ref[j] = on_grid();
+    coarse[j] = coarse_ref[j] + on_grid();
+    fine_ref[j] = static_cast<float>(rng.gaussian());
+    fine[j] = fine_ref[j] + static_cast<float>(rng.gaussian() *
+                                               std::pow(10.0, rng.uniform(-6.0, 1.0)));
+  }
+  const std::vector<std::size_t> ks{1, 2, 299, 300, 1500, n - 1, n};
+  expect_topk_matches_oracle(coarse_ref, coarse, ks);
+  expect_topk_matches_oracle(fine_ref, fine, ks);
 }
 
 // --------------------------------------------- corruption & compatibility --
