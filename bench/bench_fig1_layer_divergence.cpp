@@ -46,11 +46,10 @@ int run(int argc, char** argv) {
                 spec.paper_model.c_str(), layers.size());
     print_table_header("layer", {"JS divergence", "argmax"});
     for (const core::LayerSensitivity& l : layers) {
-      std::printf("%-24s%12.4f%12s\n",
-                  ("[" + std::to_string(l.layer_index) + "] " + l.layer_name)
-                      .substr(0, 24)
-                      .c_str(),
-                  l.divergence, l.layer_index == top ? "<== max" : "");
+      std::string label = "[";
+      label.append(std::to_string(l.layer_index)).append("] ").append(l.layer_name);
+      std::printf("%-24s%12.4f%12s\n", label.substr(0, 24).c_str(), l.divergence,
+                  l.layer_index == top ? "<== max" : "");
     }
     std::printf("paper: one layer (typically the penultimate, index %zu here) "
                 "dominates; measured argmax = %zu\n",

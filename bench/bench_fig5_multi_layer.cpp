@@ -25,7 +25,8 @@ int run(int argc, char** argv) {
     std::string label;
     for (std::size_t l = first; l < j; ++l) {
       layers.push_back(l);
-      label += (label.empty() ? "" : "-") + std::to_string(l);
+      if (!label.empty()) label.append(1, '-');
+      label.append(std::to_string(l));
     }
     fl::DefenseBundle bundle =
         core::make_dinar_bundle(layers, prepared.spec.seed ^ 0xF55);

@@ -7,6 +7,8 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <string>
+#include <utility>
 
 #include "data/synthetic.h"
 #include "util/error.h"
@@ -374,7 +376,10 @@ BenchJson& BenchJson::field(const std::string& key, std::int64_t value) {
 
 BenchJson& BenchJson::field(const std::string& key, const std::string& value) {
   DINAR_CHECK(!rows_.empty(), "BenchJson::field before begin_row");
-  rows_.back().emplace_back(key, "\"" + json_escape(value) + "\"");
+  std::string quoted;
+  quoted.reserve(value.size() + 2);
+  quoted.append(1, '"').append(json_escape(value)).append(1, '"');
+  rows_.back().emplace_back(key, std::move(quoted));
   return *this;
 }
 
@@ -385,13 +390,15 @@ std::string BenchJson::path() const {
 }
 
 std::string BenchJson::to_string() const {
-  std::string out = "{\n  \"bench\": \"" + json_escape(name_) + "\",\n  \"rows\": [";
+  std::string out = "{\n  \"bench\": \"";
+  out.append(json_escape(name_)).append("\",\n  \"rows\": [");
   for (std::size_t i = 0; i < rows_.size(); ++i) {
     out += i == 0 ? "\n" : ",\n";
     out += "    {";
     for (std::size_t j = 0; j < rows_[i].size(); ++j) {
       if (j != 0) out += ", ";
-      out += "\"" + json_escape(rows_[i][j].first) + "\": " + rows_[i][j].second;
+      out.append(1, '"').append(json_escape(rows_[i][j].first)).append("\": ");
+      out.append(rows_[i][j].second);
     }
     out += "}";
   }

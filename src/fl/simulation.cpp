@@ -3,11 +3,13 @@
 #include <algorithm>
 #include <bit>
 #include <chrono>
+#include <initializer_list>
 #include <map>
 #include <numeric>
 #include <optional>
 #include <thread>
 #include <unordered_set>
+#include <utility>
 
 #include "fl/durable.h"
 #include "fl/socket_transport.h"
@@ -207,6 +209,27 @@ void FederatedSimulation::validate_defense_config() const {
               "defense '" << defense << "' uploads pre-weighted masked sums, which "
                           << "shard.num_shards = " << config_.shard.num_shards
                           << " splits across shards; use one shard");
+  // Every upload must be in the sum, which partial participation breaks.
+  DINAR_CHECK(config_.client_fraction >= 1.0,
+              "defense '" << defense << "' uploads pre-weighted masked sums, which "
+                          << "client_fraction = " << config_.client_fraction
+                          << " leaves incomplete; select every client");
+  const FaultConfig& faults = config_.faults;
+  for (const auto& [setting, p] :
+       {std::pair{"faults.drop_up", faults.drop_up},
+        std::pair{"faults.drop_down", faults.drop_down},
+        std::pair{"faults.corrupt_up", faults.corrupt_up},
+        std::pair{"faults.corrupt_down", faults.corrupt_down}})
+    DINAR_CHECK(p <= 0.0, "defense '" << defense
+                                      << "' uploads pre-weighted masked sums, which "
+                                      << setting << " = " << p
+                                      << " can leave incomplete; use 0");
+  DINAR_CHECK(faults.crash_at_round.empty(),
+              "defense '" << defense << "' uploads pre-weighted masked sums, which "
+                          << "faults.crash_at_round leaves incomplete; schedule no crashes");
+  DINAR_CHECK(!config_.churn.any(),
+              "defense '" << defense << "' uploads pre-weighted masked sums, which "
+                          << "churn leaves incomplete; configure no churn");
 }
 
 void FederatedSimulation::run() {

@@ -7,7 +7,7 @@
 // cost experiments include simulated network time.
 //
 // Every payload takes the framed path: ship() wraps it in a checksummed
-// frame (magic + length + FNV-1a 64), routes it through an optional
+// frame (magic + length + XXH64, net/frame.h), routes it through an optional
 // FaultInjector (drop / duplicate / corrupt / delay / straggler slowdown),
 // and open() verifies the frame on receive — so any in-flight corruption
 // is detected instead of silently aggregated.
@@ -99,7 +99,7 @@ class Transport {
   // stats). Call in deterministic order, from one thread.
   void commit(const ShipReceipt& receipt);
 
-  // Wraps a payload in [magic | u64 length | u64 FNV-1a checksum | bytes].
+  // Wraps a payload in [magic | u64 length | u64 XXH64 checksum | bytes].
   static std::vector<std::uint8_t> frame(const std::vector<std::uint8_t>& payload);
   // Verifies and strips a frame; throws dinar::Error on a bad magic,
   // length, or checksum (the message was corrupted in flight).

@@ -66,7 +66,7 @@ enum class EvictReason {
   kPeerClosed,       // orderly or abortive close from the peer
   kBadMagic,         // stream bytes stopped being DFRM frames
   kOversizeFrame,    // length field exceeded max_frame_bytes
-  kBadChecksum,      // complete frame failed FNV-1a verification
+  kBadChecksum,      // complete frame failed XXH64 verification
   kOversizeDecoded,  // v3 payload declared a decoded size over the cap
   kSlowPeer,         // send queue blocked past write_stall_timeout
   kIdle,             // no frame received within idle_timeout

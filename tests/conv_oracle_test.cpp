@@ -223,10 +223,12 @@ TEST(ConvOracleTest, Conv2dGeometrySweepIsBitIdentical) {
             Rng rng(static_cast<std::uint64_t>(kernel * 100 + stride * 10 + padding));
             const Conv2d conv(3, 5, kernel, stride, padding, rng);
             const Tensor x = Tensor::gaussian({batch, 3, map.h, map.w}, rng);
-            check_conv(conv, x, stride, padding, padding,
-                       "k" + std::to_string(kernel) + " s" + std::to_string(stride) +
-                           " p" + std::to_string(padding) + " " + std::to_string(batch) +
-                           "x" + std::to_string(map.h) + "x" + std::to_string(map.w));
+            std::string label = "k";
+            label.append(std::to_string(kernel)).append(" s").append(std::to_string(stride));
+            label.append(" p").append(std::to_string(padding)).append(" ");
+            label.append(std::to_string(batch)).append("x").append(std::to_string(map.h));
+            label.append("x").append(std::to_string(map.w));
+            check_conv(conv, x, stride, padding, padding, label);
           }
 }
 

@@ -9,8 +9,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstring>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -202,6 +205,125 @@ TEST(FrameReaderTest, TornFrameCompletesAcrossFeeds) {
   EXPECT_EQ(*got, payload);
 }
 
+// ---------------------------------------------------------------- checksum --
+
+std::uint64_t checksum_of(const std::string& s) {
+  return xxh64(reinterpret_cast<const std::uint8_t*>(s.data()), s.size());
+}
+
+// XXH64 (seed 0) written straight from the specification, one byte at a
+// time: the oracle for the production routine's word loads and tail
+// branches.
+std::uint64_t reference_xxh64(const std::uint8_t* p, std::size_t n) {
+  constexpr std::uint64_t P1 = 0x9E3779B185EBCA87ULL, P2 = 0xC2B2AE3D27D4EB4FULL,
+                          P3 = 0x165667B19E3779F9ULL, P4 = 0x85EBCA77C2B2AE63ULL,
+                          P5 = 0x27D4EB2F165667C5ULL;
+  auto rotl = [](std::uint64_t x, int r) { return (x << r) | (x >> (64 - r)); };
+  auto le = [&](std::size_t at, int bytes) {
+    std::uint64_t v = 0;
+    for (int b = bytes - 1; b >= 0; --b) v = (v << 8) | p[at + static_cast<std::size_t>(b)];
+    return v;
+  };
+  auto mix = [&](std::uint64_t acc, std::uint64_t in) {
+    return rotl(acc + in * P2, 31) * P1;
+  };
+  std::size_t i = 0;
+  std::uint64_t h = P5;
+  if (n >= 32) {
+    std::uint64_t v[4] = {P1 + P2, P2, 0, 0 - P1};
+    for (; i + 32 <= n; i += 32)
+      for (std::size_t lane = 0; lane < 4; ++lane) v[lane] = mix(v[lane], le(i + 8 * lane, 8));
+    h = rotl(v[0], 1) + rotl(v[1], 7) + rotl(v[2], 12) + rotl(v[3], 18);
+    for (std::uint64_t lane : v) h = (h ^ mix(0, lane)) * P1 + P4;
+  }
+  h += n;
+  for (; i + 8 <= n; i += 8) h = rotl(h ^ mix(0, le(i, 8)), 27) * P1 + P4;
+  if (i + 4 <= n) {
+    h = rotl(h ^ (le(i, 4) * P1), 23) * P2 + P3;
+    i += 4;
+  }
+  for (; i < n; ++i) h = rotl(h ^ (p[i] * P5), 11) * P1;
+  h = (h ^ (h >> 33)) * P2;
+  h = (h ^ (h >> 29)) * P3;
+  return h ^ (h >> 32);
+}
+
+TEST(FrameChecksumTest, PublishedXxh64Vectors) {
+  EXPECT_EQ(checksum_of(""), 0xef46db3751d8e999ULL);
+  EXPECT_EQ(checksum_of("abc"), 0x44bc2cf5ad770999ULL);
+  EXPECT_EQ(checksum_of("Nobody inspects the spammish repetition"),
+            0xfbcea83c8a378bf1ULL);  // 39 bytes: the four-lane stripe path
+}
+
+TEST(FrameChecksumTest, MatchesTheReferenceAtEveryLengthAndAlignment) {
+  // Lengths 0..130 walk every tail branch (8-, 4- and 1-byte steps) both
+  // below and above the 32-byte stripe threshold; the offsets make the
+  // word loads unaligned.
+  std::vector<std::uint8_t> buf(130 + 8);
+  for (std::size_t i = 0; i < buf.size(); ++i)
+    buf[i] = static_cast<std::uint8_t>(i * 131 + 7);
+  for (std::size_t offset = 0; offset < 8; ++offset)
+    for (std::size_t n = 0; n <= 130; ++n)
+      ASSERT_EQ(xxh64(buf.data() + offset, n), reference_xxh64(buf.data() + offset, n))
+          << "length " << n << " at offset " << offset;
+}
+
+TEST(FrameChecksumTest, ModelFingerprintKeepsItsFnv1aValues) {
+  // fnv1a64 is no longer the frame checksum but still fingerprints models;
+  // its values must never move.
+  auto fnv = [](const std::string& s) {
+    return fnv1a64(reinterpret_cast<const std::uint8_t*>(s.data()), s.size());
+  };
+  EXPECT_EQ(fnv(""), 0xcbf29ce484222325ULL);
+  EXPECT_EQ(fnv("a"), 0xaf63dc4c8601ec8cULL);
+  EXPECT_EQ(fnv("foobar"), 0x85944171f73967e8ULL);
+}
+
+// A frame in the layout before XXH64: 'DFRM' magic and an FNV-1a checksum.
+std::vector<std::uint8_t> old_layout_frame(const std::vector<std::uint8_t>& payload) {
+  constexpr std::uint32_t kOldMagic = 0x4446524D;  // "DFRM"
+  const std::uint64_t length = payload.size();
+  const std::uint64_t checksum = fnv1a64(payload.data(), payload.size());
+  std::vector<std::uint8_t> framed(kFrameHeaderBytes + payload.size());
+  std::memcpy(framed.data(), &kOldMagic, sizeof kOldMagic);
+  std::memcpy(framed.data() + sizeof kOldMagic, &length, sizeof length);
+  std::memcpy(framed.data() + sizeof kOldMagic + sizeof length, &checksum, sizeof checksum);
+  std::copy(payload.begin(), payload.end(), framed.begin() + kFrameHeaderBytes);
+  return framed;
+}
+
+TEST(FrameChecksumTest, OldLayoutFrameIsRefusedAsBadMagic) {
+  const auto old = old_layout_frame(bytes({1, 2, 3, 4}));
+  ASSERT_EQ(old.size(), frame(bytes({1, 2, 3, 4})).size());  // same header size
+  FrameReader r;
+  r.feed(old.data(), old.size());
+  EXPECT_FALSE(r.next().has_value());
+  EXPECT_EQ(r.error(), FrameReader::Error::kBadMagic);
+  EXPECT_THROW(open_frame(old), dinar::Error);
+}
+
+TEST(FrameChecksumTest, EverySingleBitFlipIsABadChecksum) {
+  // Flips in the payload and in the checksum field of a 64-byte frame;
+  // the magic and length fields are judged before the checksum.
+  std::vector<std::uint8_t> payload(64 - kFrameHeaderBytes);
+  for (std::size_t i = 0; i < payload.size(); ++i)
+    payload[i] = static_cast<std::uint8_t>(i * 37 + 1);
+  const auto framed = frame(payload);
+  ASSERT_EQ(framed.size(), 64u);
+  const std::size_t checksum_at = sizeof(std::uint32_t) + sizeof(std::uint64_t);
+  for (std::size_t byte = checksum_at; byte < framed.size(); ++byte)
+    for (int bit = 0; bit < 8; ++bit) {
+      auto flipped = framed;
+      flipped[byte] ^= static_cast<std::uint8_t>(1u << bit);
+      FrameReader r;
+      r.feed(flipped.data(), flipped.size());
+      EXPECT_FALSE(r.next().has_value()) << "byte " << byte << " bit " << bit;
+      EXPECT_EQ(r.error(), FrameReader::Error::kBadChecksum)
+          << "byte " << byte << " bit " << bit;
+      EXPECT_THROW(open_frame(flipped), dinar::Error);
+    }
+}
+
 // ------------------------------------------------------- server <-> client --
 
 struct EchoServer {
@@ -282,6 +404,17 @@ TEST(TcpTest, GarbageBytesEvictWithBadMagic) {
   // The connection is gone: the next receive observes the close.
   EXPECT_FALSE(client.recv_frame(2.0).has_value());
   EXPECT_FALSE(client.connected());
+}
+
+TEST(TcpTest, OldLayoutFrameEvictsWithBadMagic) {
+  // A peer still speaking the 'DFRM' + FNV-1a layout is refused by name.
+  EchoServer echo;
+  TcpClient client(client_config(echo.server.port()));
+  ASSERT_TRUE(client.ensure_connected());
+  ASSERT_TRUE(client.send_raw(old_layout_frame(bytes({1, 2, 3, 4}))));
+  ASSERT_TRUE(eventually([&] { return echo.server.stats().evicted_bad_magic == 1; }));
+  EXPECT_EQ(echo.server.stats().frames_rx, 0u);
+  EXPECT_FALSE(client.recv_frame(2.0).has_value());
 }
 
 TEST(TcpTest, OversizeFrameEvicts) {

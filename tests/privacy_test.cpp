@@ -337,6 +337,34 @@ TEST(SecureAggregationConfigTest, RejectsSharding) {
                      "shard.num_shards = 2");
 }
 
+TEST(SecureAggregationConfigTest, RejectsPartialParticipation) {
+  expect_sa_rejected([](fl::SimulationConfig& c) { c.client_fraction = 0.5; },
+                     "client_fraction = 0.5");
+}
+
+TEST(SecureAggregationConfigTest, RejectsLossyLinks) {
+  expect_sa_rejected([](fl::SimulationConfig& c) { c.faults.drop_up = 0.1; },
+                     "faults.drop_up = 0.1");
+  expect_sa_rejected([](fl::SimulationConfig& c) { c.faults.drop_down = 0.1; },
+                     "faults.drop_down = 0.1");
+  expect_sa_rejected([](fl::SimulationConfig& c) { c.faults.corrupt_up = 0.1; },
+                     "faults.corrupt_up = 0.1");
+  expect_sa_rejected([](fl::SimulationConfig& c) { c.faults.corrupt_down = 0.1; },
+                     "faults.corrupt_down = 0.1");
+}
+
+TEST(SecureAggregationConfigTest, RejectsACrashSchedule) {
+  expect_sa_rejected([](fl::SimulationConfig& c) { c.faults.crash_at_round[1] = 2; },
+                     "faults.crash_at_round");
+}
+
+TEST(SecureAggregationConfigTest, RejectsChurn) {
+  expect_sa_rejected([](fl::SimulationConfig& c) { c.churn.join_at_round[3] = 1; },
+                     "churn");
+  expect_sa_rejected([](fl::SimulationConfig& c) { c.churn.away[2] = {{1, 2}}; },
+                     "churn");
+}
+
 TEST(SecureAggregationConfigTest, AcceptsTheExactConfigurations) {
   // Plain FedAvg over one shard with dense f32 uploads, and a lossy
   // broadcast (SA masks only the uplink).
@@ -344,11 +372,22 @@ TEST(SecureAggregationConfigTest, AcceptsTheExactConfigurations) {
   EXPECT_NO_THROW(build_federation("sa", [](fl::SimulationConfig& c) {
     c.codec.broadcast.encoding = fl::WireEncoding::kF16;
   }));
+  // Duplicated and delayed copies still deliver every upload once.
+  EXPECT_NO_THROW(build_federation("sa", [](fl::SimulationConfig& c) {
+    c.faults.duplicate_up = 0.2;
+    c.faults.delay_prob = 0.5;
+    c.faults.delay_max_seconds = 0.01;
+  }));
   // The rejected settings stay valid for the other defenses.
   EXPECT_NO_THROW(build_federation("ldp", [](fl::SimulationConfig& c) {
     c.codec.update.encoding = fl::WireEncoding::kInt8;
     c.robust.method = "median";
     c.shard.num_shards = 2;
+    c.client_fraction = 0.5;
+    c.faults.drop_up = 0.1;
+    c.faults.corrupt_down = 0.1;
+    c.faults.crash_at_round[1] = 2;
+    c.churn.join_at_round[3] = 1;
   }));
 }
 
