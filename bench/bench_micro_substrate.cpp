@@ -57,6 +57,26 @@ void BM_ConvForwardBackward(benchmark::State& state) {
 }
 BENCHMARK(BM_ConvForwardBackward);
 
+// One local training step of the paper's Table 3 case (the GTSRB analogue,
+// VggSmall on 12x12x3 images, 43 classes, batch 64): forward, loss and the
+// backward pass the client trainer runs.
+void BM_VggSmallTrainStep(benchmark::State& state) {
+  Rng rng(9);
+  nn::Model m = nn::vgg_small_factory(3, 12, 43, 4)(rng);
+  Tensor x = Tensor::gaussian({64, 3, 12, 12}, rng);
+  std::vector<int> labels(64);
+  for (std::size_t i = 0; i < labels.size(); ++i) labels[i] = static_cast<int>(i % 43);
+  for (auto _ : state) {
+    Tensor y = m.forward(x, true);
+    nn::LossResult loss = nn::softmax_cross_entropy(y, labels);
+    m.zero_grad();
+    m.backward(loss.grad_logits);
+    benchmark::DoNotOptimize(loss.mean_loss);
+  }
+  state.SetItemsProcessed(state.iterations() * 64);
+}
+BENCHMARK(BM_VggSmallTrainStep);
+
 void BM_ModelUpdateSerde(benchmark::State& state) {
   Rng rng(4);
   nn::Model m = nn::make_fcnn6(600, 100, 256, rng);

@@ -9,8 +9,10 @@ namespace dinar::nn {
 Tensor ReLU::forward(const Tensor& x, bool train) {
   if (train) cached_input_ = x;
   Tensor y = x;
-  for (float& v : y.values())
-    if (v < 0.0f) v = 0.0f;
+  // A select, not a branch: activations are sign-random, so a branch
+  // mispredicts about half the time, while this loop vectorizes. It keeps
+  // -0.0f and NaN exactly as the branch did (neither is < 0.0f).
+  for (float& v : y.values()) v = v < 0.0f ? 0.0f : v;
   return y;
 }
 
@@ -20,8 +22,8 @@ Tensor ReLU::backward(const Tensor& grad_out) {
   Tensor dx = grad_out;
   const float* px = cached_input_.data();
   float* pd = dx.data();
-  for (std::int64_t i = 0; i < dx.numel(); ++i)
-    if (px[i] <= 0.0f) pd[i] = 0.0f;
+  // Select as in forward; a NaN input passes its gradient through.
+  for (std::int64_t i = 0; i < dx.numel(); ++i) pd[i] = px[i] <= 0.0f ? 0.0f : pd[i];
   return dx;
 }
 

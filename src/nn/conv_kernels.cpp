@@ -1,6 +1,7 @@
 #include "nn/conv_kernels.h"
 
 #include <algorithm>
+#include <cstring>
 #include <functional>
 #include <vector>
 
@@ -32,85 +33,97 @@ float* thread_tile(std::size_t floats) {
   return tile.data();
 }
 
-// [lo, hi) of the output positions o whose input index o*stride + tap - pad
-// lies inside [0, extent), clamped to [0, out).
-struct Span {
-  std::int64_t lo, hi;
-};
+// One image's input plane with its zero border: (H + 2*PH) x (W + 2*PW)
+// floats, per thread. Only ever grows; every user zeroes what it reads.
+float* thread_plane(std::size_t floats) {
+  thread_local std::vector<float> plane;
+  if (plane.size() < floats) plane.resize(floats);
+  return plane.data();
+}
 
-Span valid_outputs(std::int64_t tap, std::int64_t pad, std::int64_t stride,
-                   std::int64_t extent, std::int64_t out) {
-  const std::int64_t first = pad - tap;             // need o*stride >= first
-  const std::int64_t last = extent - 1 + pad - tap;  // need o*stride <= last
-  std::int64_t lo = first <= 0 ? 0 : (first + stride - 1) / stride;
-  std::int64_t hi = last < 0 ? 0 : last / stride + 1;
-  lo = std::min(lo, out);
-  hi = std::clamp(hi, lo, out);
-  return {lo, hi};
+std::int64_t padded_h(const ConvShape& s) { return s.h + 2 * s.padding_h; }
+std::int64_t padded_w(const ConvShape& s) { return s.w + 2 * s.padding_w; }
+
+// dst[0, n) = src[0, n) for non-overlapping rows, in 16-byte moves with
+// one overlapping move for the tail. A plain copy loop compiles to a
+// memmove call per row, which costs more than the few floats it moves.
+void copy_row(const float* src, float* dst, std::int64_t n) {
+  constexpr std::int64_t kLane = 4;
+  if (n < kLane) {
+    for (std::int64_t i = 0; i < n; ++i) dst[i] = src[i];
+    return;
+  }
+  for (std::int64_t i = 0; i < n - kLane; i += kLane)
+    std::memcpy(dst + i, src + i, kLane * sizeof(float));
+  std::memcpy(dst + n - kLane, src + n - kLane, kLane * sizeof(float));
+}
+
+// Copies a rows x n block between row strides src_ld and dst_ld.
+void copy_block(const float* src, std::int64_t src_ld, float* dst, std::int64_t dst_ld,
+                std::int64_t rows, std::int64_t n) {
+  for (std::int64_t r = 0; r < rows; ++r) copy_row(src + r * src_ld, dst + r * dst_ld, n);
 }
 
 // cols[CK, P] for one image x[C, H, W]: row q = (c, ky, kx), column
 // (oy, ox) = x[c][oy*s + ky - ph][ox*s + kx - pw], zero outside the input.
-void im2col_image(const ConvShape& s, const float* x, float* cols) {
-  const std::int64_t p = s.positions();
+// Each plane is copied into the interior of the zero-bordered `plane`
+// (padded_h x padded_w), so every row of cols is OH runs of OW floats read
+// at a fixed offset, with no bounds arithmetic. The border is zeroed once
+// per image: the interior copies never touch it.
+void im2col_image(const ConvShape& s, const float* x, float* plane, float* cols) {
+  const std::int64_t p = s.positions(), wp = padded_w(s), st = s.stride;
+  float* interior = plane + s.padding_h * wp + s.padding_w;
+  std::fill(plane, plane + padded_h(s) * wp, 0.0f);
   for (std::int64_t c = 0; c < s.in_ch; ++c) {
-    const float* xc = x + c * s.h * s.w;
+    copy_block(x + c * s.h * s.w, s.w, interior, wp, s.h, s.w);
     for (std::int64_t ky = 0; ky < s.kernel_h; ++ky) {
-      const Span ys = valid_outputs(ky, s.padding_h, s.stride, s.h, s.oh);
       for (std::int64_t kx = 0; kx < s.kernel_w; ++kx) {
-        const Span xs = valid_outputs(kx, s.padding_w, s.stride, s.w, s.ow);
         float* row = cols + ((c * s.kernel_h + ky) * s.kernel_w + kx) * p;
-        std::fill(row, row + ys.lo * s.ow, 0.0f);
-        for (std::int64_t oy = ys.lo; oy < ys.hi; ++oy) {
-          float* dst = row + oy * s.ow;
-          std::fill(dst, dst + xs.lo, 0.0f);
-          if (xs.hi > xs.lo) {
-            const float* src = xc + (oy * s.stride + ky - s.padding_h) * s.w +
-                               xs.lo * s.stride + kx - s.padding_w;
-            if (s.stride == 1) {
-              std::copy(src, src + (xs.hi - xs.lo), dst + xs.lo);
-            } else {
-              for (std::int64_t ox = xs.lo; ox < xs.hi; ++ox)
-                dst[ox] = src[(ox - xs.lo) * s.stride];
-            }
-          }
-          std::fill(dst + xs.hi, dst + s.ow, 0.0f);
+        const float* tap = plane + ky * wp + kx;
+        if (st == 1) {
+          copy_block(tap, wp, row, s.ow, s.oh, s.ow);
+          continue;
         }
-        std::fill(row + ys.hi * s.ow, row + p, 0.0f);
+        for (std::int64_t oy = 0; oy < s.oh; ++oy)
+          for (std::int64_t ox = 0; ox < s.ow; ++ox)
+            row[oy * s.ow + ox] = tap[(oy * wp + ox) * st];
       }
     }
   }
 }
 
-// Adds one image's input-gradient tile t[CK, P] into dx[C, H, W]. Taps run
+// Adds one image's input-gradient tile t[CK, P] into dx[C, H, W] through
+// the same padded plane: each plane is loaded with dx inside a zero border,
+// every tap adds its OH runs of OW floats, and the interior is stored back;
+// the border collects the padding taps' products and is dropped. Taps run
 // with ky and kx descending: a dx element is hit by at most one output
 // position per tap, and descending taps mean its contributions arrive in
 // ascending (oy, ox) order, the order bit-identity requires (see header).
-void col2im_image(const ConvShape& s, const float* tile, float* dx) {
-  const std::int64_t p = s.positions();
+void col2im_image(const ConvShape& s, const float* tile, float* plane, float* dx) {
+  const std::int64_t p = s.positions(), wp = padded_w(s), st = s.stride;
+  float* interior = plane + s.padding_h * wp + s.padding_w;
   for (std::int64_t c = 0; c < s.in_ch; ++c) {
     float* dxc = dx + c * s.h * s.w;
+    std::fill(plane, plane + padded_h(s) * wp, 0.0f);
+    copy_block(dxc, s.w, interior, wp, s.h, s.w);
     for (std::int64_t ky = s.kernel_h - 1; ky >= 0; --ky) {
-      const Span ys = valid_outputs(ky, s.padding_h, s.stride, s.h, s.oh);
       for (std::int64_t kx = s.kernel_w - 1; kx >= 0; --kx) {
-        const Span xs = valid_outputs(kx, s.padding_w, s.stride, s.w, s.ow);
-        if (xs.hi == xs.lo) continue;
         const float* row = tile + ((c * s.kernel_h + ky) * s.kernel_w + kx) * p;
-        for (std::int64_t oy = ys.lo; oy < ys.hi; ++oy) {
-          const float* src = row + oy * s.ow + xs.lo;
-          float* dst = dxc + (oy * s.stride + ky - s.padding_h) * s.w +
-                       xs.lo * s.stride + kx - s.padding_w;
+        for (std::int64_t oy = 0; oy < s.oh; ++oy) {
+          const float* in = row + oy * s.ow;
+          float* out = plane + (oy * st + ky) * wp + kx;
           // No skip-zero shortcut: adding an exact 0.0f must still happen
           // so signed zeros and NaN/Inf already in dx behave as in a
           // branch-free SIMD add.
-          if (s.stride == 1) {
-            for (std::int64_t i = 0; i < xs.hi - xs.lo; ++i) dst[i] += src[i];
+          if (st == 1) {
+            for (std::int64_t ox = 0; ox < s.ow; ++ox) out[ox] += in[ox];
           } else {
-            for (std::int64_t i = 0; i < xs.hi - xs.lo; ++i) dst[i * s.stride] += src[i];
+            for (std::int64_t ox = 0; ox < s.ow; ++ox) out[ox * st] += in[ox];
           }
         }
       }
     }
+    copy_block(interior, wp, dxc, s.w, s.h, s.w);
   }
 }
 
@@ -119,6 +132,12 @@ void check_shape(const ConvShape& s) {
                   s.kernel_h >= 1 && s.kernel_w >= 1 && s.stride >= 1 &&
                   s.padding_h >= 0 && s.padding_w >= 0 && s.oh >= 1 && s.ow >= 1,
               "invalid convolution geometry");
+  // The lowering reads every tap inside the padded plane, so the kernel
+  // must fit it and OH, OW must be the floor output extents.
+  const std::int64_t span_h = padded_h(s) - s.kernel_h, span_w = padded_w(s) - s.kernel_w;
+  DINAR_CHECK(span_h >= 0 && span_w >= 0 && s.oh == span_h / s.stride + 1 &&
+                  s.ow == span_w / s.stride + 1,
+              "convolution kernel larger than its padded input, or output extent mismatch");
 }
 
 }  // namespace
@@ -139,9 +158,10 @@ void conv_forward(const ConvShape& s, const float* x, const float* weight,
             [&](std::int64_t n0, std::int64_t n1) {
               float* tile =
                   cols != nullptr ? nullptr : thread_tile(static_cast<std::size_t>(ck * p));
+              float* plane = thread_plane(static_cast<std::size_t>(padded_h(s) * padded_w(s)));
               for (std::int64_t n = n0; n < n1; ++n) {
                 float* cn = cols != nullptr ? cols + n * ck * p : tile;
-                im2col_image(s, x + n * s.in_ch * s.h * s.w, cn);
+                im2col_image(s, x + n * s.in_ch * s.h * s.w, plane, cn);
                 float* yn = y + n * s.out_ch * p;
                 gemm_into(Trans::kN, Trans::kN, s.out_ch, p, ck, weight, ck, cn, p, yn, p,
                           /*accumulate=*/false, nullptr, kernel);
@@ -193,10 +213,11 @@ void conv_backward(const ConvShape& s, const float* cols, const float* weight,
   // dx: per image, t = W^T g_n, added into dx_n while it is still cached.
   run_range(s.batch, exec, grain_for(oc * ck * p), [&](std::int64_t n0, std::int64_t n1) {
     float* tile = thread_tile(static_cast<std::size_t>(ck * p));
+    float* plane = thread_plane(static_cast<std::size_t>(padded_h(s) * padded_w(s)));
     for (std::int64_t n = n0; n < n1; ++n) {
       gemm_into(Trans::kT, Trans::kN, ck, p, oc, weight, ck, grad_out + n * oc * p, p,
                 tile, p, /*accumulate=*/false, nullptr, kernel);
-      col2im_image(s, tile, dx + n * s.in_ch * s.h * s.w);
+      col2im_image(s, tile, plane, dx + n * s.in_ch * s.h * s.w);
     }
   });
 }

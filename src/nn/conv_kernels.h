@@ -4,9 +4,11 @@
 // (tensor/tensor.h, gemm_into). For image n with P = OH*OW output
 // positions and a patch of CK = C*KH*KW inputs, the patch matrix is stored
 // channel-major, cols_n[CK, P]: row q = (c, ky, kx) holds the input under
-// kernel tap q for every output position, so its rows are contiguous runs
-// of the input row (for stride 1) and padding is a zero fill at either
-// end. Per image:
+// kernel tap q for every output position. Each input plane is read through
+// a per-thread copy with a zero border of PH rows and PW columns, so every
+// row of cols is OH fixed-length runs of OW floats (contiguous for stride
+// 1) with no bounds arithmetic, and padding reads the border's zeros. Per
+// image:
 //
 //   forward   y_n[OC, P]   = W[OC, CK] x cols_n, then + bias in place
 //   weights   dW[OC, CK]  += g_n[OC, P] x cols_n^T   (k = P, resumed)
@@ -18,7 +20,9 @@
 // Buffers. Training keeps every image's cols_n in the layer's retained
 // patch buffer ([B, CK, P], reused from step to step) for the weight
 // gradient; an eval forward uses one cols_n-sized per-thread tile instead.
-// The input-gradient tile t is per-thread and per-image, so it is
+// The padded plane is per-thread, grows only, and is zeroed by each image
+// that reads it, so a call never sees a border left by a call of another
+// geometry. The input-gradient tile t is per-thread and per-image, so it is
 // scattered into dx while still in L1/L2. The weight gradient accumulates
 // in a [OC, CK] scratch before the single += into the layer's gradient.
 //
@@ -33,12 +37,17 @@
 //     float accumulator survives the round trip through memory exactly;
 //   - col2im visits kernel taps with ky and kx descending, so every dx
 //     element receives its contributions in ascending (oy, ox) order, the
-//     order of the former row-by-row scatter, starting from +0.0f;
+//     order of the former row-by-row scatter, starting from +0.0f. It adds
+//     through the same padded plane, loaded with dx inside a zero border
+//     and stored back; the padding taps' sums land in the border and are
+//     dropped, as the former kernel skipped them;
+//   - cols holds the same input bits, and +0.0f for every padding tap, as
+//     the former per-row zero fill wrote;
 //   - db sums each channel over ascending (n, oy, ox) into grad_bias;
 //   - bias is added once to the finished dot product, as before.
 // Padding taps are explicit zeros in cols (the products still happen) and
-// never-added positions in col2im, as before, and no loop branches on a
-// value, so NaN and Inf propagate exactly as in the former kernels.
+// discarded border adds in col2im, and no loop branches on a value, so NaN
+// and Inf propagate exactly as in the former kernels.
 //
 // With an ExecutionContext, forward and the input gradient parallelize
 // over whole images and the weight gradient over disjoint column ranges of

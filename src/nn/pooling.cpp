@@ -5,6 +5,28 @@
 #include "util/error.h"
 
 namespace dinar::nn {
+namespace {
+
+// Running maximum of one pooling window, written as selects: a branch on
+// the comparison mispredicts on sign-random activations wherever the
+// compiler keeps it. The strict > keeps the first of tied values and never
+// takes a NaN, and the index starts at the window's first element, so a
+// window of -inf/NaN routes its gradient inside itself.
+struct WindowMax {
+  explicit WindowMax(std::int64_t first) : index(first) {}
+
+  void offer(const float* x, std::int64_t idx) {
+    const float v = x[idx];
+    const bool take = v > value;
+    value = take ? v : value;
+    index = take ? idx : index;
+  }
+
+  float value = -std::numeric_limits<float>::infinity();
+  std::int64_t index;  // flat input index of `value`
+};
+
+}  // namespace
 
 MaxPool2d::MaxPool2d(std::int64_t window) : window_(window) {
   DINAR_CHECK(window >= 1, "pool window must be >= 1");
@@ -23,25 +45,18 @@ Tensor MaxPool2d::forward(const Tensor& x, bool train) {
   const float* px = x.data();
   float* py = y.data();
   std::int64_t out_idx = 0;
-  for (std::int64_t n = 0; n < b; ++n) {
-    for (std::int64_t ch = 0; ch < c; ++ch) {
-      const float* plane = px + (n * c + ch) * h * w;
-      for (std::int64_t i = 0; i < oh; ++i) {
-        for (std::int64_t j = 0; j < ow; ++j, ++out_idx) {
-          float best = -std::numeric_limits<float>::infinity();
-          std::int64_t best_idx = 0;
-          for (std::int64_t di = 0; di < window_; ++di) {
-            for (std::int64_t dj = 0; dj < window_; ++dj) {
-              const std::int64_t idx = (i * window_ + di) * w + (j * window_ + dj);
-              if (plane[idx] > best) {
-                best = plane[idx];
-                best_idx = (n * c + ch) * h * w + idx;
-              }
-            }
-          }
-          py[out_idx] = best;
-          if (train) argmax_[static_cast<std::size_t>(out_idx)] = best_idx;
+  for (std::int64_t plane = 0; plane < b * c; ++plane) {
+    const std::int64_t base = plane * h * w;
+    for (std::int64_t i = 0; i < oh; ++i) {
+      for (std::int64_t j = 0; j < ow; ++j, ++out_idx) {
+        const std::int64_t first = base + i * window_ * w + j * window_;
+        WindowMax m(first);
+        for (std::int64_t di = 0; di < window_; ++di) {
+          const std::int64_t row = first + di * w;
+          for (std::int64_t dj = 0; dj < window_; ++dj) m.offer(px, row + dj);
         }
+        py[out_idx] = m.value;
+        if (train) argmax_[static_cast<std::size_t>(out_idx)] = m.index;
       }
     }
   }
@@ -83,22 +98,13 @@ Tensor MaxPool1d::forward(const Tensor& x, bool train) {
   const float* px = x.data();
   float* py = y.data();
   std::int64_t out_idx = 0;
-  for (std::int64_t n = 0; n < b; ++n) {
-    for (std::int64_t ch = 0; ch < c; ++ch) {
-      const float* row = px + (n * c + ch) * l;
-      for (std::int64_t i = 0; i < ol; ++i, ++out_idx) {
-        float best = -std::numeric_limits<float>::infinity();
-        std::int64_t best_idx = 0;
-        for (std::int64_t d = 0; d < window_; ++d) {
-          const std::int64_t idx = i * window_ + d;
-          if (row[idx] > best) {
-            best = row[idx];
-            best_idx = (n * c + ch) * l + idx;
-          }
-        }
-        py[out_idx] = best;
-        if (train) argmax_[static_cast<std::size_t>(out_idx)] = best_idx;
-      }
+  for (std::int64_t row = 0; row < b * c; ++row) {
+    for (std::int64_t i = 0; i < ol; ++i, ++out_idx) {
+      const std::int64_t first = row * l + i * window_;
+      WindowMax m(first);
+      for (std::int64_t d = 0; d < window_; ++d) m.offer(px, first + d);
+      py[out_idx] = m.value;
+      if (train) argmax_[static_cast<std::size_t>(out_idx)] = m.index;
     }
   }
   return y;

@@ -22,6 +22,7 @@
 #include "nn/conv1d.h"
 #include "nn/conv2d.h"
 #include "nn/residual.h"
+#include "util/error.h"
 #include "util/execution_context.h"
 
 namespace dinar::nn {
@@ -308,6 +309,70 @@ TEST(ConvOracleTest, ResidualBlockMatchesReferenceComposition) {
       expect_bits_equal(run.grads[5], proj.grad_bias(), at + ": proj db");
     }
   }
+}
+
+TEST(ConvOracleTest, PlaneSizeChangesBetweenCallsOnOneThread) {
+  // Every call lowers through this thread's zero-bordered plane buffer,
+  // which is reused from call to call and only grows. A 12x12 call leaves
+  // its interior (and col2im leaves padding-tap sums) where the next 6x6
+  // call's border lies, so each call must re-zero what it reads. All calls
+  // here run on the calling thread, train and eval, in a changing order.
+  struct Step {
+    std::int64_t h, w;
+  };
+  for (const std::int64_t padding : {0, 1, 2})
+    for (const std::int64_t stride : {1, 2}) {
+      Rng rng(static_cast<std::uint64_t>(300 + padding * 10 + stride));
+      const Conv2d proto(3, 4, 3, stride, padding, rng);
+      for (const Step step : {Step{12, 12}, Step{6, 6}, Step{12, 12}, Step{5, 7}}) {
+        std::string at = "p";
+        at.append(std::to_string(padding)).append(" s").append(std::to_string(stride));
+        at.append(" ").append(std::to_string(step.h)).append("x").append(std::to_string(step.w));
+        std::unique_ptr<Layer> conv = proto.clone();
+        seed_grads(*conv, 17);
+        RefConv ref = reference_for(*conv, stride, padding, padding);
+        const Tensor x = Tensor::gaussian({2, 3, step.h, step.w}, rng);
+        const Tensor y_ref = ref.forward(x);
+        const Tensor grad_out = Tensor::gaussian(y_ref.shape(), rng);
+        const Tensor dx_ref = ref.backward(grad_out);
+        expect_bits_equal(conv->forward(x, /*train=*/false), y_ref, at + ": eval y");
+        expect_bits_equal(conv->forward(x, /*train=*/true), y_ref, at + ": y");
+        expect_bits_equal(conv->backward(grad_out), dx_ref, at + ": dx");
+        const ParamGroup g = conv->param_groups().at(0);
+        expect_bits_equal(*g.grads[0], ref.grad_weight(), at + ": dW");
+        expect_bits_equal(*g.grads[1], ref.grad_bias(), at + ": db");
+      }
+    }
+  // Conv1d: the plane is one padded row, long then short then long.
+  for (const std::int64_t padding : {0, 1, 2})
+    for (const std::int64_t stride : {1, 2}) {
+      Rng rng(static_cast<std::uint64_t>(400 + padding * 10 + stride));
+      const Conv1d proto(2, 3, 3, stride, padding, rng);
+      for (const std::int64_t length : {24, 9, 24, 5}) {
+        const std::string at = "conv1d p" + std::to_string(padding) + " s" +
+                               std::to_string(stride) + " l" + std::to_string(length);
+        std::unique_ptr<Layer> conv = proto.clone();
+        RefConv ref = reference_for(*conv, stride, 0, padding);
+        const Tensor x = Tensor::gaussian({2, 2, length}, rng);
+        const Tensor y_ref = ref.forward(as_4d(x));
+        const Tensor grad_out = Tensor::gaussian(y_ref.shape(), rng);
+        const Tensor dx_ref = ref.backward(grad_out);
+        const Tensor g3 = grad_out.reshaped({y_ref.dim(0), y_ref.dim(1), y_ref.dim(3)});
+        expect_bits_equal(conv->forward(x, false).reshaped(y_ref.shape()), y_ref,
+                          at + ": eval y");
+        expect_bits_equal(conv->forward(x, true).reshaped(y_ref.shape()), y_ref, at + ": y");
+        expect_bits_equal(conv->backward(g3).reshaped(dx_ref.shape()), dx_ref, at + ": dx");
+      }
+    }
+}
+
+TEST(ConvOracleTest, RejectsAKernelLargerThanItsPaddedInput) {
+  // (2 + 0 - 3) / 2 + 1 truncates to one output position whose taps run
+  // past the input; the lowering refuses it by name instead of reading
+  // outside the plane.
+  Rng rng(19);
+  Conv1d conv(1, 1, 3, 2, 0, rng);
+  EXPECT_THROW(conv.forward(Tensor({1, 1, 2}), false), Error);
 }
 
 TEST(ConvOracleTest, EvalForwardMatchesTrainingForward) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <memory>
 
 #include "gradcheck.h"
@@ -235,6 +236,41 @@ TEST(MaxPool1dTest, SelectsAndRoutes) {
   EXPECT_EQ(y.at(0), 3.0f);
   Tensor dx = pool.backward(Tensor({1, 1, 1}, {2.0f}));
   EXPECT_EQ(dx.at(2), 2.0f);
+  EXPECT_EQ(dx.at(0), 0.0f);
+}
+
+// A window with no value above -inf (all -inf or NaN) keeps its argmax at
+// the window's own first element: its gradient must not leak into another
+// window, least of all into image 0.
+TEST(MaxPool2dTest, DegenerateWindowRoutesGradientInsideIt) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  for (const float fill : {-inf, nan}) {
+    MaxPool2d pool(2);
+    // Two images of 1x4x4; image 1's bottom-right window is degenerate.
+    Tensor x = random_input({2, 1, 4, 4}, 21);
+    const std::int64_t window[] = {16 + 10, 16 + 11, 16 + 14, 16 + 15};
+    for (const std::int64_t i : window) x.at(i) = fill;
+    const Tensor y = pool.forward(x, true);
+    EXPECT_EQ(y.at(7), -inf);
+    Tensor g({2, 1, 2, 2});
+    g.at(7) = 3.0f;
+    const Tensor dx = pool.backward(g);
+    EXPECT_EQ(dx.at(window[0]), 3.0f) << "fill " << fill;
+    EXPECT_EQ(dx.at(0), 0.0f) << "fill " << fill;
+  }
+}
+
+TEST(MaxPool1dTest, DegenerateWindowRoutesGradientInsideIt) {
+  const float inf = std::numeric_limits<float>::infinity();
+  MaxPool1d pool(3);
+  Tensor x = random_input({2, 1, 6}, 22);
+  for (const std::int64_t i : {9, 10, 11}) x.at(i) = -inf;  // image 1, window 1
+  (void)pool.forward(x, true);
+  Tensor g({2, 1, 2});
+  g.at(3) = 4.0f;
+  const Tensor dx = pool.backward(g);
+  EXPECT_EQ(dx.at(9), 4.0f);
   EXPECT_EQ(dx.at(0), 0.0f);
 }
 
