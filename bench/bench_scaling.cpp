@@ -27,11 +27,14 @@
 //
 // Third sweep: sharded hierarchical aggregation (DESIGN.md §12) over a
 // synthetic cohort, clients 10^3 -> 10^5 x shards x threads, aggregation
-// only (no training) so the tree itself is what's measured. Every
-// single-shard cell is gated on bit-identity with the flat
-// RobustAggregator::aggregate() path — the exit code reflects the gates,
-// so CI (which runs `--smoke` on every matrix leg, including TSan) fails
-// on any divergence.
+// only (no training) so the tree itself is what's measured: the cohort is
+// absorbed into a ShardedAggregationSession in client-id order and
+// finalized. Every single-shard cell is gated on bit-identity with the
+// flat RobustAggregator::aggregate() path, which runs the strategy's
+// whole-cohort pass on the full pool, where the session folds updates in
+// one at a time and finalizes each shard as one pool task — the exit code
+// reflects the gates, so CI (which runs `--smoke` on every matrix leg,
+// including TSan) fails on any divergence.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -167,22 +170,14 @@ std::vector<fl::ModelUpdateMsg> make_synthetic_updates(int clients,
 }
 
 // One cell of the shard sweep. Returns false iff the single-shard gate
-// (hierarchical num_shards==1 bit-identical to flat aggregate) failed.
+// (a one-shard session bit-identical to flat aggregate) failed.
 bool run_shard_cell(BenchJson& json, fl::AggregatorKind kind, int clients,
                     std::size_t num_shards, unsigned threads,
-                    std::vector<fl::ModelUpdateMsg>& updates,
+                    const std::vector<fl::ModelUpdateMsg>& updates,
                     const nn::FlatParams& global) {
   fl::ShardConfig shard_cfg;
   shard_cfg.num_shards = num_shards;
   shard_cfg.assignment_seed = 0xD1AA5ULL;
-  // Pre-sort by shard so plan_shards takes the zero-copy path — what a
-  // million-client deployment would do (edge aggregators already hold
-  // their own shard's updates).
-  std::stable_sort(updates.begin(), updates.end(),
-                   [&](const fl::ModelUpdateMsg& a, const fl::ModelUpdateMsg& b) {
-                     return fl::shard_of(a.client_id, shard_cfg) <
-                            fl::shard_of(b.client_id, shard_cfg);
-                   });
 
   ExecConfig exec_cfg;
   exec_cfg.threads = threads;
@@ -191,8 +186,9 @@ bool run_shard_cell(BenchJson& json, fl::AggregatorKind kind, int clients,
   agg->set_execution_context(&exec);
 
   const auto t0 = std::chrono::steady_clock::now();
-  const fl::HierarchicalResult hier =
-      fl::hierarchical_aggregate(*agg, updates, global, shard_cfg, &exec);
+  fl::ShardedAggregationSession session(*agg, global, shard_cfg, &exec);
+  for (const fl::ModelUpdateMsg& u : updates) session.absorb(u);
+  const fl::HierarchicalResult hier = session.finalize();
   const double seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
 
@@ -369,7 +365,7 @@ int run(int argc, char** argv) {
        Tensor({32}, std::vector<float>(32, -0.5f))});
   bool gate_ok = true;
   for (const int clients : shard_clients) {
-    std::vector<fl::ModelUpdateMsg> updates =
+    const std::vector<fl::ModelUpdateMsg> updates =
         make_synthetic_updates(clients, shard_global);
     for (const fl::AggregatorKind kind : shard_methods)
       for (const std::size_t shards : shard_counts)
@@ -393,7 +389,7 @@ int run(int argc, char** argv) {
   json.write();
   int rc = 0;
   if (!gate_ok) {
-    std::printf("GATE FAILED: single-shard hierarchical aggregation diverged "
+    std::printf("GATE FAILED: single-shard session aggregation diverged "
                 "from the flat path\n");
     rc = 1;
   }

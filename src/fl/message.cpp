@@ -6,11 +6,9 @@
 
 namespace dinar::fl {
 namespace {
-// Legacy v1 per-kind magics (tensor-list payload, pre-FlatParams). The v1
-// read paths were removed after their one-release deprecation window; the
-// magics survive only to reject such frames by name instead of "not a
-// message". Wire frames never outlive a release — unlike model files
-// (DNAR), which keep their legacy read path (nn::read_legacy_tensor_params).
+// Legacy v1 per-kind magics (tensor-list payload, pre-FlatParams). No v1
+// payload is read anywhere; the magics survive only to reject such frames
+// by name instead of "not a message".
 constexpr std::uint32_t kGlobalMsgMagicV1 = 0x474D4F44;  // "GMOD"
 constexpr std::uint32_t kUpdateMsgMagicV1 = 0x55504454;  // "UPDT"
 // v2/v3 frames share one magic; the kind byte distinguishes the messages.

@@ -173,11 +173,9 @@ std::vector<std::size_t> all_indices(std::size_t n) {
 }
 
 // Default streaming adapter: buffers absorbed updates and finalizes through
-// the batch shard_aggregate(). The buffer's order is the absorb order —
-// exactly the per-shard span order plan_shards produces for the same
-// acceptance sequence — so the summary is trivially bit-identical to the
-// barriered edge pass. Strategies whose statistic needs the whole shard at
-// once (median, trimmed mean, Krum) stream through this adapter.
+// the batch shard_aggregate() over the buffer, in absorb order.
+// Strategies whose statistic needs the whole shard at once (median,
+// trimmed mean, Krum) stream through this adapter.
 class BufferingShardAccumulator final : public ShardAccumulator {
  public:
   BufferingShardAccumulator(RobustAggregator& owner, const nn::FlatParams& global)
@@ -196,15 +194,14 @@ class BufferingShardAccumulator final : public ShardAccumulator {
   std::vector<ModelUpdateMsg> buffer_;
 };
 
-// True constant-memory accumulator for FedAvg. Bit-identity with the batch
-// pass holds term by term: per coordinate the batch loop accumulates
-// `acc[j] += w_i * v_i[j]` over updates in ascending span order (chunking
-// never reorders a coordinate's sequence), absorb applies the identical
-// float multiply-adds in absorb order; `total` is the same double sum in
-// the same order; the final `*= inv` touches each coordinate once; and
-// each scored-delta norm is a pure function of (update, global), taken in
-// the same vector order. Loops run inline — absorb is called on the commit
-// thread while the pool is busy with the straggler tail (see the header).
+// FedAvg as a constant-memory fold, and FedAvg's only implementation:
+// FedAvgAggregator::shard_aggregate runs it over its span. Per coordinate,
+// absorb applies `acc[j] += w_i * v_i[j]` in absorb order, `total` is the
+// double sum of the sample counts in the same order, finalize scales each
+// coordinate once by `1 / total`, and each scored-delta norm is a pure
+// function of (update, global). Loops run inline — absorb is called on the
+// commit thread while the pool is busy with the straggler tail (see the
+// header).
 class StreamingFedAvgAccumulator final : public ShardAccumulator {
  public:
   StreamingFedAvgAccumulator(const RobustConfig& config, const nn::FlatParams& global)
@@ -215,8 +212,8 @@ class StreamingFedAvgAccumulator final : public ShardAccumulator {
       pre_weighted_ = update.pre_weighted;
       acc_ = nn::FlatParams(update.params.index());
       // Pre-weighted (secure-aggregation) parameters are masked partial
-      // sums; no meaningful distance to the global exists, so the norm
-      // distribution stays zero (matches the batch pass).
+      // sums; no meaningful distance to the global exists before
+      // unweighting, so the norm distribution stays zero.
       if (!pre_weighted_)
         scored_ = runs_of(*global_.index(),
                           excluded_mask(config_, global_.index()->num_entries()),
@@ -265,51 +262,13 @@ class FedAvgAggregator final : public RobustAggregator {
   explicit FedAvgAggregator(RobustConfig config) : config_(std::move(config)) {}
   std::string name() const override { return "fedavg"; }
 
+  // The batch pass is the streaming fold over the span, so the two can
+  // never disagree.
   ShardSummary shard_aggregate(std::span<const ModelUpdateMsg> updates,
                                const nn::FlatParams& global) override {
-    const bool pre_weighted = updates.front().pre_weighted;
-    double total = 0.0;
-    for (const ModelUpdateMsg& u : updates) total += static_cast<double>(u.num_samples);
-
-    ShardSummary summary;
-    summary.params = nn::FlatParams(updates.front().params.index());
-    std::span<float> acc = summary.params.as_span();
-    // One contiguous pass per client in ascending order; chunking cannot
-    // change any coordinate's accumulation sequence.
-    run_range(exec_, acc.size(), coord_grain(updates.size()),
-              [&](std::int64_t j0, std::int64_t j1) {
-                for (const ModelUpdateMsg& u : updates) {
-                  const float w =
-                      pre_weighted ? 1.0f : static_cast<float>(u.num_samples);
-                  const std::span<const float> vi = u.params.as_span();
-                  for (std::int64_t j = j0; j < j1; ++j)
-                    acc[static_cast<std::size_t>(j)] +=
-                        w * vi[static_cast<std::size_t>(j)];
-                }
-              });
-    const float inv = static_cast<float>(1.0 / total);
-    run_range(exec_, acc.size(), coord_grain(1),
-              [&](std::int64_t j0, std::int64_t j1) {
-                for (std::int64_t j = j0; j < j1; ++j)
-                  acc[static_cast<std::size_t>(j)] *= inv;
-              });
-
-    summary.stats.num_updates = updates.size();
-    summary.stats.num_accepted = updates.size();
-    summary.stats.weight = total;
-    // Pre-weighted (secure-aggregation) parameters are masked partial sums,
-    // not models — no meaningful distance to the global exists before
-    // unweighting, so the norm distribution stays zero.
-    if (!pre_weighted) {
-      const std::vector<bool> excluded =
-          excluded_mask(config_, global.index()->num_entries());
-      set_norm_stats(summary.stats,
-                     scored_delta_norms(updates, global,
-                                        runs_of(*global.index(), excluded,
-                                                /*excluded=*/false),
-                                        exec_));
-    }
-    return summary;
+    StreamingFedAvgAccumulator acc(config_, global);
+    for (const ModelUpdateMsg& u : updates) acc.absorb(u);
+    return acc.finalize();
   }
 
   std::unique_ptr<ShardAccumulator> begin_shard(const nn::FlatParams& global) override {

@@ -25,14 +25,16 @@
 //       aggregation it replaced.
 //
 //   begin_shard(global) -> ShardAccumulator
-//       Streaming form of the edge phase (streaming round engine,
-//       DESIGN.md §13): one accumulator per shard absorbs validated
-//       updates as their exchanges complete; finalize() emits the summary
-//       shard_aggregate() would have produced for the same updates in the
-//       same order — bit-for-bit.
+//       Streaming form of the edge phase, the one the server runs
+//       (ShardedAggregationSession, fl/shard.h): one accumulator per shard
+//       absorbs validated updates as they arrive; finalize() emits the
+//       summary shard_aggregate() would have produced for the same updates
+//       in the same order — bit-for-bit. FedAvg's accumulator is its only
+//       implementation (its shard_aggregate folds it over the span); every
+//       other strategy buffers and finalizes through shard_aggregate().
 //
 // aggregate() is the flat convenience over the two phases (one shard =
-// the whole cohort) and produces exactly the pre-redesign results.
+// the whole cohort).
 //
 // All strategies are *layer-aware*: `RobustConfig::excluded_tensors` names
 // layer-index entry positions (normally the DINAR-obfuscated sensitive
@@ -161,8 +163,8 @@ struct RobustAggregateResult {
 // once) emits the same ShardSummary the batch shard_aggregate() would have
 // produced for the absorbed updates in absorb order — that equivalence is
 // the pipeline's bit-identity contract, enforced by the determinism
-// gauntlet. finalize() after zero absorbs returns the empty summary
-// (mirrors an empty shard in plan_shards, which combine() skips).
+// gauntlet. finalize() after zero absorbs returns the empty summary (an
+// empty shard, which combine() skips).
 //
 // absorb() is called from the commit path (one thread, ascending client-id
 // order) and must run its loops inline rather than fanning out across the
@@ -184,8 +186,9 @@ class RobustAggregator {
   // Phase 1 — edge: aggregates one shard's validated updates (non-empty,
   // structurally consistent with `global`). `global` is the pre-round
   // model — several strategies work on deltas theta_i - global rather than
-  // raw parameters. All loops stream contiguous arena spans chunked by the
-  // execution context. The caller owns stats.shard_id (left 0 here).
+  // raw parameters. All loops stream contiguous arena spans; the robust
+  // strategies chunk them across the execution context, FedAvg's fold
+  // runs inline. The caller owns stats.shard_id (left 0 here).
   virtual ShardSummary shard_aggregate(std::span<const ModelUpdateMsg> updates,
                                        const nn::FlatParams& global) = 0;
 
@@ -205,9 +208,8 @@ class RobustAggregator {
   // override it with a true constant-memory accumulator (FedAvg does).
   virtual std::unique_ptr<ShardAccumulator> begin_shard(const nn::FlatParams& global);
 
-  // Flat convenience: the whole cohort as one shard. Bit-identical to the
-  // pre-redesign monolithic aggregate(). Spans only — the PR 8 vector
-  // overload shims are gone; wrap braced lists in a named vector.
+  // Flat convenience: the whole cohort as one shard (shard_aggregate then
+  // combine's single-summary copy).
   RobustAggregateResult aggregate(std::span<const ModelUpdateMsg> updates,
                                   const nn::FlatParams& global);
 

@@ -55,9 +55,9 @@ GlobalModelMsg FlServer::broadcast() const {
 }
 
 void FlServer::aggregate(std::span<const ModelUpdateMsg> updates) {
+  // Every check runs before the session opens, so a throw leaves no
+  // session open and the round unadvanced.
   DINAR_CHECK(!updates.empty(), "aggregate called with no updates");
-  ScopedTimer timing(agg_timer_);
-
   const bool pre_weighted = updates.front().pre_weighted;
   for (const ModelUpdateMsg& u : updates) {
     DINAR_CHECK(u.pre_weighted == pre_weighted,
@@ -67,8 +67,9 @@ void FlServer::aggregate(std::span<const ModelUpdateMsg> updates) {
     DINAR_CHECK(u.params.same_layout(global_),
                 "update from client " << u.client_id << " has wrong structure");
   }
-  commit_aggregate(
-      hierarchical_aggregate(*aggregator_, updates, global_, shard_config_, exec_));
+  begin_aggregation();
+  for (const ModelUpdateMsg& u : updates) absorb_validated(u);
+  finalize_aggregation();
 }
 
 UpdateVerdict FlServer::validate_update(const ModelUpdateMsg& update,
@@ -147,7 +148,14 @@ std::vector<AggregatorFlag> FlServer::finalize_aggregation() {
   // (every shard empty) must leave the round un-advanced for carry-forward.
   const std::unique_ptr<ShardedAggregationSession> session = std::move(session_);
   HierarchicalResult h = session->finalize();
-  return commit_aggregate(std::move(h));
+  defense_->after_aggregate(h.result.params);
+  global_ = std::move(h.result.params);
+  last_shard_stats_ = std::move(h.shards);
+  last_timings_ = AggregateTimings{};
+  for (double s : h.shard_seconds) last_timings_.shard_seconds += s;
+  last_timings_.combine_seconds = h.combine_seconds;
+  ++round_;
+  return std::move(h.result.flags);
 }
 
 void FlServer::restore(std::int64_t round, nn::FlatParams params) {
@@ -157,17 +165,6 @@ void FlServer::restore(std::int64_t round, nn::FlatParams params) {
   session_.reset();
   global_ = std::move(params);
   round_ = round;
-}
-
-std::vector<AggregatorFlag> FlServer::commit_aggregate(HierarchicalResult h) {
-  defense_->after_aggregate(h.result.params);
-  global_ = std::move(h.result.params);
-  last_shard_stats_ = std::move(h.shards);
-  last_timings_ = AggregateTimings{};
-  for (double s : h.shard_seconds) last_timings_.shard_seconds += s;
-  last_timings_.combine_seconds = h.combine_seconds;
-  ++round_;
-  return std::move(h.result.flags);
 }
 
 }  // namespace dinar::fl

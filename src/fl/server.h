@@ -1,36 +1,30 @@
 // FL server: FedAvg aggregation with a pluggable server-side defense.
 //
-// Two aggregation paths:
-//  - aggregate(): the strict seed path — any malformed update throws and
-//    aborts the round (used by trusted in-process experiments and benches);
-//  - the hardened path behind the fault-tolerant round protocol:
-//    validate_update() checks every incoming update (round match,
+// One aggregation path, the streaming session — begin_aggregation() /
+// absorb_validated() / finalize_aggregation() — over the hierarchical
+// aggregation tree (set_shards, DESIGN.md §12): the cohort is partitioned
+// into client shards, each shard folds its updates into an accumulator
+// (finalized in parallel under an execution context), and a root combiner
+// merges the shard summaries. The default single-shard tree is
+// bit-identical to flat aggregation. Two ways in:
+//  - the hardened path behind the fault-tolerant round protocol (DESIGN.md
+//    §13): validate_update() checks every incoming update (round match,
 //    structure match against the global model, NaN/Inf scan, positive
 //    sample count, consistent weighting convention, duplicate-client
 //    rejection) so invalid ones are quarantined with a reason instead of
-//    throwing; accepted updates stream into the aggregation session
-//    (below), and a round with no quorum carries the previous global
-//    model forward (carry_forward()) as a degraded-but-live round.
+//    throwing; each accepted update folds into its shard the moment its
+//    exchange commits, and a round with no quorum carries the previous
+//    global model forward (carry_forward()) as a degraded-but-live round;
+//  - aggregate(): the strict batch entry for trusted in-process
+//    experiments and benches — any malformed update throws before the
+//    session opens, then the batch is absorbed in span order. It gives
+//    the same model as the hardened path over the same updates.
 //
 // Aggregation itself is pluggable (set_aggregator): the default is the
 // seed's plain FedAvg; Byzantine-robust strategies (coordinate-wise
 // median, trimmed mean, norm-clipped FedAvg, Krum / Multi-Krum) bound the
 // influence of adversarial but well-formed updates and report per-client
 // flags that the round protocol surfaces in RoundOutcome.
-//
-// Both paths route through the hierarchical aggregation tree
-// (set_shards, DESIGN.md §12): the cohort is partitioned into client
-// shards, each shard runs the robust strategy independently (in parallel
-// under an execution context), and a root combiner merges the shard
-// summaries. The default single-shard tree is bit-identical to flat
-// aggregation.
-//
-// The streaming round engine (DESIGN.md §13) drives the same tree
-// incrementally through the session API — begin_aggregation() /
-// absorb_validated() / finalize_aggregation() — so each validated update
-// folds into its shard the moment its exchange commits instead of waiting
-// for the round barrier. finalize_aggregation() is bit-identical to
-// aggregate() over the same updates in absorb order.
 #pragma once
 
 #include <memory>
@@ -90,9 +84,11 @@ class FlServer {
   //   global = sum_i w_i * theta_i / sum_i w_i
   // where w_i is the client's sample count, and theta_i arrives either raw
   // or pre-weighted (secure aggregation). A round must not mix the two
-  // conventions. Runs the server defense afterwards and advances the round.
-  // Spans only — the PR 8 vector overload shims are gone; wrap braced
-  // lists in a named vector.
+  // conventions. Throws, with no session left open and the round not
+  // advanced, on an empty span, mixed conventions, a sample count <= 0 or
+  // a layout that differs from the global model. Otherwise runs the
+  // session over the span, then the server defense, and advances the
+  // round. Throws if a session is already open.
   void aggregate(std::span<const ModelUpdateMsg> updates);
 
   // -- hardened path -------------------------------------------------------
@@ -104,14 +100,13 @@ class FlServer {
                                 const std::unordered_set<int>& accepted_ids,
                                 std::optional<bool> weighting) const;
 
-  // -- streaming session (event-driven round pipeline, DESIGN.md §13) ------
+  // -- aggregation session (DESIGN.md §12, §13) -----------------------------
   // Opens an incremental aggregation over the current global model and
   // shard configuration: one ShardAccumulator per shard. At most one
   // session may be open, and the global model / shards / aggregator /
   // execution context must not change while it is. validate_update()
   // still checks against the current round, which only advances at
-  // finalize — so the validate-then-absorb commit sequence sees exactly
-  // the state the barriered validate-then-aggregate sequence would.
+  // finalize.
   void begin_aggregation();
 
   // Folds one update the caller has already validated (validate_update
@@ -121,10 +116,9 @@ class FlServer {
   void absorb_validated(const ModelUpdateMsg& update);
 
   // Closes the shard accumulators, runs the root combine, the defense, and
-  // advances the round — bit-identical to aggregate() over the absorbed
-  // updates in absorb order. Throws (leaving the session closed and the
-  // round NOT advanced) when every shard stayed empty; requires at least
-  // one absorb. Returns the aggregator's per-client flags.
+  // advances the round. Throws (leaving the session closed and the round
+  // NOT advanced) when every shard stayed empty; requires at least one
+  // absorb. Returns the aggregator's per-client flags.
   std::vector<AggregatorFlag> finalize_aggregation();
 
   // Installs a Byzantine-robust aggregation strategy; the default is the
@@ -149,8 +143,7 @@ class FlServer {
     return last_shard_stats_;
   }
 
-  // Wall-clock breakdown of the most recent aggregation (batch or
-  // streaming). Timing only — never persisted or compared; feeds the
+  // Wall-clock breakdown of the most recent aggregation. Timing only — never persisted or compared; feeds the
   // per-phase columns in RoundOutcome::timings.
   struct AggregateTimings {
     double shard_seconds = 0.0;    // sum over shards: edge absorb+finalize
@@ -169,15 +162,12 @@ class FlServer {
   // Resume: installs a saved global model and round counter.
   void restore(std::int64_t round, nn::FlatParams params);
 
-  // Wall-clock spent inside aggregate() (Table 3's server-side metric).
+  // Wall-clock spent absorbing and finalizing (Table 3's server-side
+  // metric).
   const CumulativeTimer& aggregation_timer() const { return agg_timer_; }
   ServerDefense& defense() { return *defense_; }
 
  private:
-  // Installs an aggregation tree result (batch or streaming): defense,
-  // global model, stats, timings, round advance.
-  std::vector<AggregatorFlag> commit_aggregate(HierarchicalResult h);
-
   nn::FlatParams global_;
   UpdateCodecConfig codec_;
   std::unique_ptr<ServerDefense> defense_;

@@ -28,110 +28,6 @@ std::uint32_t shard_of(int client_id, const ShardConfig& config) {
   return static_cast<std::uint32_t>(h % config.num_shards);
 }
 
-std::vector<std::span<const ModelUpdateMsg>> plan_shards(
-    std::span<const ModelUpdateMsg> updates, const ShardConfig& config,
-    std::vector<ModelUpdateMsg>& scratch) {
-  const std::size_t num_shards = config.num_shards;
-  DINAR_CHECK(num_shards >= 1, "shard.num_shards must be >= 1, got " << num_shards);
-
-  std::vector<std::uint32_t> shard_ids(updates.size());
-  std::vector<std::size_t> counts(num_shards, 0);
-  for (std::size_t i = 0; i < updates.size(); ++i) {
-    shard_ids[i] = shard_of(updates[i].client_id, config);
-    ++counts[shard_ids[i]];
-  }
-
-  // Zero-copy fast path: every shard's members already form one contiguous
-  // block of the input (true when the caller pre-sorted by shard_of, and
-  // trivially for num_shards == 1). Each span aliases the input directly.
-  bool grouped = true;
-  std::vector<bool> closed(num_shards, false);
-  for (std::size_t i = 0; i < updates.size(); ++i) {
-    const std::uint32_t s = shard_ids[i];
-    if (i == 0 || shard_ids[i - 1] != s) {
-      if (closed[s]) {
-        grouped = false;  // shard s reappears after a different shard
-        break;
-      }
-      closed[s] = true;
-    }
-  }
-
-  std::vector<std::span<const ModelUpdateMsg>> shards(num_shards);
-  if (grouped) {
-    std::size_t begin = 0;
-    for (std::size_t i = 0; i <= updates.size(); ++i) {
-      if (i == updates.size() || (i > 0 && shard_ids[i] != shard_ids[i - 1])) {
-        if (i > begin) shards[shard_ids[begin]] = updates.subspan(begin, i - begin);
-        begin = i;
-      }
-    }
-    return shards;
-  }
-
-  // Gather path: copy the updates into `scratch`, grouped by ascending
-  // shard id, preserving input order within a shard. The copies deep-copy
-  // each arena — fine for simulation rosters; million-client callers
-  // pre-sort and hit the zero-copy path above.
-  std::vector<std::size_t> offsets(num_shards, 0);
-  for (std::size_t s = 1; s < num_shards; ++s)
-    offsets[s] = offsets[s - 1] + counts[s - 1];
-  const std::vector<std::size_t> begins = offsets;
-  scratch.clear();
-  scratch.resize(updates.size());
-  for (std::size_t i = 0; i < updates.size(); ++i)
-    scratch[offsets[shard_ids[i]]++] = updates[i];
-  for (std::size_t s = 0; s < num_shards; ++s) {
-    if (counts[s] > 0)
-      shards[s] = std::span<const ModelUpdateMsg>(scratch).subspan(begins[s], counts[s]);
-  }
-  return shards;
-}
-
-HierarchicalResult hierarchical_aggregate(RobustAggregator& aggregator,
-                                          std::span<const ModelUpdateMsg> updates,
-                                          const nn::FlatParams& global,
-                                          const ShardConfig& config,
-                                          const ExecutionContext* exec) {
-  DINAR_CHECK(!updates.empty(), "hierarchical_aggregate of an empty cohort");
-  std::vector<ModelUpdateMsg> scratch;
-  const std::vector<std::span<const ModelUpdateMsg>> plan =
-      plan_shards(updates, config, scratch);
-  const std::size_t num_shards = plan.size();
-
-  // Edge phase: one task per shard. Each task writes only its own slot, so
-  // the fan-out is race-free; shard_aggregate's inner loops degrade to
-  // sequential on pool workers (nested parallelism), and with one shard
-  // the task runs inline on the caller so they keep the full pool.
-  std::vector<ShardSummary> summaries(num_shards);
-  std::vector<double> seconds(num_shards, 0.0);
-  const auto edge = [&](std::size_t s) {
-    summaries[s].stats.shard_id = static_cast<std::uint32_t>(s);
-    if (plan[s].empty()) return;  // empty shard: summary stays empty
-    const auto t0 = std::chrono::steady_clock::now();
-    ShardSummary summary = aggregator.shard_aggregate(plan[s], global);
-    summary.stats.shard_id = static_cast<std::uint32_t>(s);
-    summaries[s] = std::move(summary);
-    seconds[s] =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-  };
-  if (exec != nullptr)
-    exec->for_each_task(num_shards, edge);
-  else
-    for (std::size_t s = 0; s < num_shards; ++s) edge(s);
-
-  // Root phase: merge in ascending shard-id order (fixed reduction order).
-  HierarchicalResult out;
-  const auto c0 = std::chrono::steady_clock::now();
-  out.result = aggregator.combine(summaries, global);
-  out.combine_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - c0).count();
-  out.shards.reserve(num_shards);
-  for (const ShardSummary& s : summaries) out.shards.push_back(s.stats);
-  out.shard_seconds = std::move(seconds);
-  return out;
-}
-
 ShardedAggregationSession::ShardedAggregationSession(RobustAggregator& aggregator,
                                                      const nn::FlatParams& global,
                                                      const ShardConfig& config,
@@ -156,19 +52,20 @@ void ShardedAggregationSession::absorb(const ModelUpdateMsg& update) {
 
 HierarchicalResult ShardedAggregationSession::finalize() {
   const std::size_t num_shards = accumulators_.size();
-  // Close the accumulators as one task per shard (race-free slots), like
-  // the barriered edge fan-out: by the time finalize runs the round's
-  // exchange tasks have drained, so buffering strategies get the pool for
-  // their whole-shard pass. Order cannot matter — each finalize is a pure
-  // function of its own shard's absorbed sequence.
+  // Close the accumulators as one task per shard (race-free slots): by the
+  // time finalize runs the round's exchange tasks have drained, so
+  // buffering strategies get the pool for their whole-shard pass. Order
+  // cannot matter — each finalize is a pure function of its own shard's
+  // absorbed sequence. An empty shard's time stays 0.0.
   std::vector<ShardSummary> summaries(num_shards);
   const auto close = [&](std::size_t s) {
     const auto t0 = std::chrono::steady_clock::now();
     ShardSummary summary = accumulators_[s]->finalize();
     summary.stats.shard_id = static_cast<std::uint32_t>(s);
     summaries[s] = std::move(summary);
-    shard_seconds_[s] +=
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+    if (!summaries[s].empty())
+      shard_seconds_[s] +=
+          std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
   };
   if (exec_ != nullptr)
     exec_->for_each_task(num_shards, close);

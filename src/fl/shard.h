@@ -16,13 +16,14 @@
 // may be empty in any given round — all its clients churned away or were
 // quarantined — and the root combiner skips the empty summaries.
 //
-// num_shards == 1 routes the whole cohort through one shard_aggregate call
-// and combine()'s copy fast path: bit-identical to flat aggregate().
+// The tree is driven by ShardedAggregationSession below, the only
+// aggregation path. num_shards == 1 routes the whole cohort through one
+// accumulator and combine()'s copy fast path: bit-identical to flat
+// RobustAggregator::aggregate().
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "fl/robust_aggregator.h"
@@ -46,61 +47,36 @@ struct ShardConfig {
 // consecutive ids.
 std::uint32_t shard_of(int client_id, const ShardConfig& config);
 
-// Partitions `updates` into one span per shard (index = shard id; empty
-// spans for empty shards). When each shard's members already sit in one
-// contiguous block of the input — e.g. the caller pre-sorted by
-// shard_of — the spans alias the input and nothing is copied. Otherwise
-// the updates are gathered (copied, grouped by shard in ascending shard-id
-// order, original relative order preserved within a shard) into `scratch`
-// and the spans alias that. The returned spans are invalidated by any
-// mutation of `updates` or `scratch`.
-std::vector<std::span<const ModelUpdateMsg>> plan_shards(
-    std::span<const ModelUpdateMsg> updates, const ShardConfig& config,
-    std::vector<ModelUpdateMsg>& scratch);
-
 struct HierarchicalResult {
   RobustAggregateResult result;
   // Per-shard statistics in shard-id order, one entry per shard including
   // empty ones (deterministic; persisted in RoundOutcome).
   std::vector<ShardStats> shards;
-  // Wall-clock seconds each edge aggregation took, indexed by shard id
-  // (0.0 for empty shards). Under the streaming session this is the shard's
-  // cumulative absorb + finalize time instead. Timing only — NEVER
+  // Wall-clock seconds of each shard's cumulative absorb + finalize,
+  // indexed by shard id (0.0 for empty shards). Timing only — NEVER
   // persisted or compared; everything bit-reproducible lives in `shards`.
   std::vector<double> shard_seconds;
   // Wall-clock seconds of the root combine. Timing only, like above.
   double combine_seconds = 0.0;
 };
 
-// Runs the full tree: plan -> parallel edge shard_aggregate (one pool task
-// per shard via exec->for_each_task; inner aggregator loops degrade to
-// sequential on worker threads) -> root combine in ascending shard-id
-// order. `exec` may be null (sequential edge passes). Throws when
-// `updates` is empty or config.num_shards == 0.
-HierarchicalResult hierarchical_aggregate(RobustAggregator& aggregator,
-                                          std::span<const ModelUpdateMsg> updates,
-                                          const nn::FlatParams& global,
-                                          const ShardConfig& config,
-                                          const ExecutionContext* exec);
-
-// Streaming counterpart of hierarchical_aggregate for the event-driven
-// round pipeline (DESIGN.md §13): the session opens one ShardAccumulator
-// per shard up front, absorb() routes each validated update to its shard
-// (shard_of) the moment its exchange commits, and finalize() closes the
-// accumulators in ascending shard-id order and runs the root combine.
+// The aggregation tree, fed one update at a time: the session opens one
+// ShardAccumulator per shard up front, absorb() routes each validated
+// update to its shard (shard_of) as it arrives, and finalize() closes the
+// accumulators — one pool task per shard via exec->for_each_task, whose
+// inner aggregator loops run sequentially on the workers (a single shard
+// runs inline and keeps the pool) — and runs the root combine in
+// ascending shard-id order. A shard's members reach its accumulator in
+// absorb order, so the result is a pure function of the absorb sequence
+// and the shard configuration, for any thread count.
 //
-// Bit-identity with the barriered tree: commits absorb updates in the
-// exact acceptance order hierarchical_aggregate's plan_shards would have
-// gathered them in (relative order within a shard is preserved by both),
-// every accumulator finalizes to the summary shard_aggregate would emit,
-// and the root combine is the same fixed-order merge — so the streaming
-// result is bit-identical to the barriered one, per the gauntlet.
-//
-// absorb() must be called from one thread (the pipeline's commit thread)
-// and runs inline — see ShardAccumulator. `aggregator` and `global` must
-// outlive the session; `global` must not change before finalize() returns.
-// finalize() throws (via combine) when every shard stayed empty: the
-// caller carries the previous model forward, exactly like the batch path.
+// The round engine (DESIGN.md §13) absorbs each update the moment its
+// exchange commits; FlServer::aggregate absorbs a batch in span order.
+// absorb() must be called from one thread and runs inline — see
+// ShardAccumulator. `aggregator` and `global` must outlive the session;
+// `global` must not change before finalize() returns. finalize() throws
+// (via combine) when every shard stayed empty, including after zero
+// absorbs: the caller carries the previous model forward.
 class ShardedAggregationSession {
  public:
   ShardedAggregationSession(RobustAggregator& aggregator,

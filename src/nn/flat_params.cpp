@@ -3,7 +3,6 @@
 #include <cmath>
 #include <cstring>
 
-#include "tensor/tensor_serde.h"
 #include "util/error.h"
 #include "util/memory_tracker.h"
 
@@ -310,16 +309,6 @@ FlatParams read_flat_params(BinaryReader& r) {
                                          << index->total_numel());
   MemoryTracker::instance().record_copy(values.size() * sizeof(float));
   return FlatParams(std::move(index), std::move(values));
-}
-
-FlatParams read_legacy_tensor_params(BinaryReader& r) {
-  // Each tensor record is at least 8 bytes (its rank prefix), so bounding
-  // the count by remaining/8 rejects corrupted prefixes before reserve().
-  const std::uint64_t n = r.read_length(8);
-  std::vector<Tensor> tensors;
-  tensors.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) tensors.push_back(read_tensor(r));
-  return FlatParams::from_tensors(tensors);
 }
 
 }  // namespace dinar::nn

@@ -17,10 +17,9 @@
 // shallow for layout. Spans returned by as_span()/entry_span()/layer_span()
 // alias the arena and are invalidated by move/destruction, never by reads.
 //
-// The pre-flat ParamList (std::vector<Tensor>) API was removed after its
-// one-release deprecation window. Tensor-shaped input enters through
-// FlatParams::from_tensors(); the only tensor-list *wire* format still
-// read is the v1 model-file payload (read_legacy_tensor_params).
+// Tensor-shaped input enters through FlatParams::from_tensors(). The flat
+// serde below (v2 index header + arena) is the only parameter format:
+// messages, durable snapshots and the wire codec all carry it.
 #pragma once
 
 #include <cstdint>
@@ -69,9 +68,9 @@ class LayerIndex {
   std::pair<std::int64_t, std::int64_t> layer_float_range(std::size_t layer) const;
 
   // Layout compatibility compares entry shapes in order only. Names and
-  // layer ids are deliberately excluded: legacy wire payloads deserialize
-  // with a synthesized one-entry-per-layer index, and those snapshots must
-  // still install into a model whose index groups entries per real layer.
+  // layer ids are deliberately excluded: from_tensors() synthesizes a
+  // one-entry-per-layer index, and those snapshots must still install into
+  // a model whose index groups entries per real layer.
   bool same_layout(const LayerIndex& other) const;
 
   // Copy of this index with is_obfuscated set on exactly `layers`
@@ -125,7 +124,7 @@ class FlatParams {
 
   // Builds a snapshot from ordered tensors, synthesizing a one-entry-per-
   // tensor index (entry i is layer i). The entry point for tensor-shaped
-  // input: ad-hoc snapshots in tests and the legacy model-file read path.
+  // input, e.g. ad-hoc snapshots in tests and benches.
   static FlatParams from_tensors(const std::vector<Tensor>& tensors);
   // Adopts `index` and shape-checks the tensors against it entry by entry.
   static FlatParams from_tensors(std::shared_ptr<const LayerIndex> index,
@@ -163,12 +162,5 @@ FlatParams read_flat_params(BinaryReader& r);
 // frames stay structurally aligned up to the first coded byte.
 void write_layer_index(BinaryWriter& w, const LayerIndex& index);
 std::shared_ptr<const LayerIndex> read_layer_index(BinaryReader& r);
-
-// Reads the v1 tensor-list payload (count + tensors) into a FlatParams
-// with a synthesized index. This is the only surviving tensor-list wire
-// format: legacy v1 model files (Model::load). v1 *messages* are
-// rejected outright (fl/message.cpp) — model files live on disk for years,
-// wire frames do not outlive a release.
-FlatParams read_legacy_tensor_params(BinaryReader& r);
 
 }  // namespace dinar::nn

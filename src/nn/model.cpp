@@ -9,13 +9,6 @@
 
 namespace dinar::nn {
 
-namespace {
-constexpr std::uint32_t kModelMagic = 0x444E4152;  // "DNAR"
-// v1: tensor-list payload (pre-FlatParams). v2: flat index + arena payload.
-constexpr std::uint32_t kModelVersionLegacy = 1;
-constexpr std::uint32_t kModelVersion = 2;
-}  // namespace
-
 Model::Model(const Model& other) {
   layers_.reserve(other.layers_.size());
   for (const auto& l : other.layers_) layers_.push_back(l->clone());
@@ -200,24 +193,6 @@ void Model::set_layer_parameters(std::size_t layer_index, const FlatParams& para
 std::pair<std::size_t, std::size_t> Model::layer_param_span(std::size_t layer_index) {
   ensure_registry();
   return index_->layer_entry_range(layer_index);
-}
-
-void Model::save(BinaryWriter& w) {
-  w.write_u32(kModelMagic);
-  w.write_u32(kModelVersion);
-  write_flat_params(w, parameters());
-}
-
-void Model::load(BinaryReader& r) {
-  DINAR_CHECK(r.read_u32() == kModelMagic, "not a DINAR model checkpoint");
-  const std::uint32_t version = r.read_u32();
-  if (version == kModelVersionLegacy) {
-    set_parameters(read_legacy_tensor_params(r));
-  } else {
-    DINAR_CHECK(version == kModelVersion,
-                "unsupported checkpoint version " << version);
-    set_parameters(read_flat_params(r));
-  }
 }
 
 std::string Model::summary() {

@@ -20,7 +20,6 @@
 
 #include "nn/flat_params.h"
 #include "nn/layer.h"
-#include "util/serde.h"
 
 namespace dinar::nn {
 
@@ -68,7 +67,7 @@ class Model {
   // layer then tensor (exactly the registry order).
   FlatParams parameters();
   // Overwrites all parameters from a snapshot. Layout-checked by shape
-  // sequence (snapshots deserialized from legacy payloads carry a
+  // sequence (snapshots built by FlatParams::from_tensors carry a
   // synthesized index and must still install); pure memcpy, no allocation.
   void set_parameters(const FlatParams& params);
   // Snapshot of all gradients (same arena layout as parameters()).
@@ -81,12 +80,6 @@ class Model {
   void set_layer_parameters(std::size_t layer_index, const FlatParams& params);
   // Positions of layer `layer_index`'s entries inside the flat index.
   std::pair<std::size_t, std::size_t> layer_param_span(std::size_t layer_index);
-
-  // Checkpoint serialization (magic + version + parameter payload).
-  // Writes the v2 flat format; load() also accepts v1 tensor-list
-  // checkpoints written before the FlatParams refactor.
-  void save(BinaryWriter& w);
-  void load(BinaryReader& r);
 
   std::string summary();
 

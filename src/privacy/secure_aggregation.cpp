@@ -60,4 +60,14 @@ nn::FlatParams SecureAggregationDefense::before_upload(nn::Model& /*model*/,
   return params;
 }
 
+void SecureAggregationDefense::save_state(BinaryWriter& w) const {
+  w.write_i64(round_counter_);
+}
+
+void SecureAggregationDefense::restore_state(BinaryReader& r) {
+  round_counter_ = r.read_i64();
+  DINAR_CHECK(round_counter_ >= 0,
+              "SA state carries negative mask round " << round_counter_);
+}
+
 }  // namespace dinar::privacy

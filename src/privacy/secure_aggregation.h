@@ -51,9 +51,17 @@ class SecureAggregationDefense final : public fl::ClientDefense {
   nn::FlatParams before_upload(nn::Model& model, nn::FlatParams params,
                                std::int64_t num_samples, bool& pre_weighted) override;
 
+  // The mask round is cross-round state: a resumed client must key its
+  // masks exactly as the uninterrupted one would.
+  void save_state(BinaryWriter& w) const override;
+  void restore_state(BinaryReader& r) override;
+
  private:
   std::shared_ptr<const SecureAggregationGroup> group_;
   int client_id_;
+  // Uploads masked so far; keys the next upload's masks. Under the
+  // configurations validate_config accepts for SA (full participation, no
+  // faults) it equals the server round.
   std::int64_t round_counter_ = 0;
 };
 

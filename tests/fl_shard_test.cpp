@@ -1,5 +1,5 @@
 // Sharded hierarchical aggregation: the two-phase aggregator API, the
-// shard planner, and the tree's determinism / robustness contracts.
+// aggregation session, and the tree's determinism / robustness contracts.
 //
 // The bit-identity tests use a "dyadic" cohort: every parameter, delta and
 // weight is a small multiple of a power of two, so every float operation
@@ -98,6 +98,17 @@ std::vector<int> dyadic_cohort() {
   return ids;
 }
 
+// Absorbs `updates` in order into a session shaped by `cfg` and finalizes
+// it.
+HierarchicalResult run_session(RobustAggregator& agg,
+                               const std::vector<ModelUpdateMsg>& updates,
+                               const nn::FlatParams& global, const ShardConfig& cfg,
+                               const ExecutionContext* exec) {
+  ShardedAggregationSession session(agg, global, cfg, exec);
+  for (const ModelUpdateMsg& u : updates) session.absorb(u);
+  return session.finalize();
+}
+
 // Runs the tree with `threads` pool threads (0 = no execution context at
 // all: every loop sequential on the caller).
 HierarchicalResult run_tree(RobustAggregator& agg,
@@ -109,13 +120,13 @@ HierarchicalResult run_tree(RobustAggregator& agg,
   cfg.assignment_seed = kSeed;
   if (threads == 0) {
     agg.set_execution_context(nullptr);
-    return hierarchical_aggregate(agg, updates, global, cfg, nullptr);
+    return run_session(agg, updates, global, cfg, nullptr);
   }
   ExecConfig ec;
   ec.threads = threads;
   ExecutionContext exec(ec);
   agg.set_execution_context(&exec);
-  HierarchicalResult out = hierarchical_aggregate(agg, updates, global, cfg, &exec);
+  HierarchicalResult out = run_session(agg, updates, global, cfg, &exec);
   agg.set_execution_context(nullptr);
   return out;
 }
@@ -185,72 +196,6 @@ TEST(ShardAssignmentTest, AssignmentIsStableBoundedAndSeedSensitive) {
   ShardConfig one;
   one.num_shards = 1;
   EXPECT_EQ(shard_of(1234, one), 0u);
-}
-
-// --------------------------------------------------------- shard planner --
-
-TEST(ShardPlanTest, GroupedInputIsSlicedWithoutCopying) {
-  ShardConfig cfg;
-  cfg.num_shards = 4;
-  cfg.assignment_seed = kSeed;
-  const nn::FlatParams global = two_tensor_params();
-  std::vector<ModelUpdateMsg> updates;
-  for (int id = 0; id < 12; ++id) updates.push_back(update_for(id, global));
-  std::stable_sort(updates.begin(), updates.end(),
-                   [&](const ModelUpdateMsg& a, const ModelUpdateMsg& b) {
-                     return shard_of(a.client_id, cfg) < shard_of(b.client_id, cfg);
-                   });
-
-  std::vector<ModelUpdateMsg> scratch;
-  const auto plan = plan_shards(updates, cfg, scratch);
-  ASSERT_EQ(plan.size(), cfg.num_shards);
-  EXPECT_TRUE(scratch.empty()) << "grouped input must take the zero-copy path";
-
-  std::size_t covered = 0;
-  for (std::uint32_t s = 0; s < plan.size(); ++s) {
-    covered += plan[s].size();
-    for (const ModelUpdateMsg& u : plan[s]) {
-      EXPECT_EQ(shard_of(u.client_id, cfg), s);
-      EXPECT_GE(&u, updates.data());
-      EXPECT_LT(&u, updates.data() + updates.size());
-    }
-  }
-  EXPECT_EQ(covered, updates.size());
-}
-
-TEST(ShardPlanTest, InterleavedInputGathersPreservingWithinShardOrder) {
-  ShardConfig cfg;
-  cfg.num_shards = 2;
-  cfg.assignment_seed = kSeed;
-  // Hunt down an interleaved id sequence: shard0, shard1, shard0.
-  int a = -1, b = -1, c = -1;
-  for (int id = 0; id < 1000 && c < 0; ++id) {
-    const std::uint32_t s = shard_of(id, cfg);
-    if (s == 0 && a < 0) a = id;
-    else if (s == 1 && a >= 0 && b < 0) b = id;
-    else if (s == 0 && b >= 0) c = id;
-  }
-  ASSERT_GE(c, 0);
-
-  const nn::FlatParams global = two_tensor_params();
-  std::vector<ModelUpdateMsg> updates = {update_for(a, global),
-                                         update_for(b, global),
-                                         update_for(c, global)};
-  std::vector<ModelUpdateMsg> scratch;
-  const auto plan = plan_shards(updates, cfg, scratch);
-  ASSERT_EQ(plan.size(), 2u);
-  EXPECT_EQ(scratch.size(), updates.size())
-      << "interleaved input must be gathered";
-  ASSERT_EQ(plan[0].size(), 2u);
-  ASSERT_EQ(plan[1].size(), 1u);
-  EXPECT_EQ(plan[0][0].client_id, a);
-  EXPECT_EQ(plan[0][1].client_id, c) << "input order preserved within a shard";
-  EXPECT_EQ(plan[1][0].client_id, b);
-  for (const auto& span : plan)
-    for (const ModelUpdateMsg& u : span) {
-      EXPECT_GE(&u, scratch.data());
-      EXPECT_LT(&u, scratch.data() + scratch.size());
-    }
 }
 
 // --------------------------------------------- single-shard bit-identity --
@@ -494,8 +439,7 @@ TEST(ShardHierarchyTest, EmptyShardsAreSkippedAndAllEmptyCombineThrows) {
   ShardConfig cfg;
   cfg.num_shards = 8;
   cfg.assignment_seed = kSeed;
-  const HierarchicalResult r =
-      hierarchical_aggregate(*agg, updates, global, cfg, nullptr);
+  const HierarchicalResult r = run_session(*agg, updates, global, cfg, nullptr);
   ASSERT_EQ(r.shards.size(), 8u);
   std::uint64_t total = 0;
   for (std::size_t s = 0; s < r.shards.size(); ++s) {
@@ -511,9 +455,7 @@ TEST(ShardHierarchyTest, EmptyShardsAreSkippedAndAllEmptyCombineThrows) {
 
   const std::vector<ShardSummary> empties(3);
   EXPECT_THROW(agg->combine(empties, global), Error);
-  EXPECT_THROW(hierarchical_aggregate(*agg, std::span<const ModelUpdateMsg>{},
-                                      global, cfg, nullptr),
-               Error);
+  EXPECT_THROW(run_session(*agg, {}, global, cfg, nullptr), Error);
 }
 
 // ------------------------------------------------- simulation integration --

@@ -1,10 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <memory>
+#include <span>
+#include <string>
+#include <vector>
 
 #include "fl/simulation.h"
 #include "test_helpers.h"
 #include "util/error.h"
+#include "util/execution_context.h"
 
 namespace dinar::fl {
 namespace {
@@ -291,6 +297,96 @@ TEST(ServerTest, BroadcastCarriesRound) {
   const std::vector<ModelUpdateMsg> cohort{a};
   server.aggregate(cohort);
   EXPECT_EQ(server.broadcast().round, 1);
+}
+
+// The strict batch entry and the hardened validate-then-absorb path run
+// the same session, so they must agree bit for bit under every strategy,
+// shard count and thread count.
+TEST(ServerTest, StrictAndHardenedPathsAgreeBitwise) {
+  Rng rng(17);
+  const nn::FlatParams global = small_params(rng);
+  std::vector<ModelUpdateMsg> cohort;
+  for (int c = 0; c < 9; ++c) {
+    ModelUpdateMsg u;
+    u.client_id = c;
+    u.num_samples = 3 + c % 4;
+    u.params = global;
+    for (float& v : u.params.as_span())
+      v += 0.1f * static_cast<float>(rng.gaussian(0.0, 1.0));
+    cohort.push_back(std::move(u));
+  }
+  ExecConfig ec;
+  ec.threads = 4;
+  const ExecutionContext pool(ec);
+  const std::vector<const ExecutionContext*> contexts{nullptr, &pool};
+
+  for (const std::string& method : robust_aggregator_names())
+    for (const std::size_t shards : {std::size_t{1}, std::size_t{3}})
+      for (const ExecutionContext* exec : contexts) {
+        const std::string label = method + " / " + std::to_string(shards) +
+                                  " shards / " + (exec ? "4 threads" : "no context");
+        RobustConfig rc;
+        rc.method = method;
+        rc.assumed_byzantine = 1;
+        ShardConfig sc;
+        sc.num_shards = shards;
+        sc.assignment_seed = 5;
+        auto make_server = [&] {
+          auto server = std::make_unique<FlServer>(global,
+                                                   std::make_unique<NoServerDefense>());
+          server->set_aggregator(make_robust_aggregator(rc));
+          server->set_shards(sc);
+          server->set_execution_context(exec);
+          return server;
+        };
+        const auto strict = make_server();
+        const auto hardened = make_server();
+        strict->aggregate(cohort);
+        ASSERT_TRUE(
+            dinar::testing::validate_and_aggregate(*hardened, cohort, 1).aggregated)
+            << label;
+
+        EXPECT_EQ(strict->round(), 1) << label;
+        EXPECT_EQ(hardened->round(), 1) << label;
+        const std::span<const float> a = strict->global_params().as_span();
+        const std::span<const float> b = hardened->global_params().as_span();
+        ASSERT_EQ(a.size(), b.size()) << label;
+        EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(float)), 0) << label;
+        ASSERT_EQ(strict->last_shard_stats().size(), shards) << label;
+        ASSERT_EQ(hardened->last_shard_stats().size(), shards) << label;
+        for (std::size_t i = 0; i < shards; ++i) {
+          const ShardStats& x = strict->last_shard_stats()[i];
+          const ShardStats& y = hardened->last_shard_stats()[i];
+          EXPECT_EQ(x.num_updates, y.num_updates) << label;
+          EXPECT_EQ(x.num_accepted, y.num_accepted) << label;
+          EXPECT_EQ(x.num_flagged, y.num_flagged) << label;
+          EXPECT_EQ(x.weight, y.weight) << label;
+          EXPECT_EQ(x.median_norm, y.median_norm) << label;
+        }
+      }
+}
+
+TEST(ServerTest, ThrowingAggregateLeavesTheRoundUnadvanced) {
+  const nn::FlatParams global = one_tensor(Tensor({1}, {0.5f}));
+  FlServer server(global, std::make_unique<NoServerDefense>());
+  ModelUpdateMsg a, b;
+  a.client_id = 0;
+  b.client_id = 1;
+  a.num_samples = b.num_samples = 1;
+  a.params = one_tensor(Tensor({1}, {1.0f}));
+  b.params = one_tensor(Tensor({1}, {3.0f}));
+  b.pre_weighted = true;
+  const std::vector<ModelUpdateMsg> mixed{a, b};
+  EXPECT_THROW(server.aggregate(mixed), Error);
+  EXPECT_EQ(server.round(), 0);
+  EXPECT_EQ(server.global_params().as_span()[0], 0.5f);
+
+  // No session was left open: the next valid aggregate runs.
+  b.pre_weighted = false;
+  const std::vector<ModelUpdateMsg> valid{a, b};
+  server.aggregate(valid);
+  EXPECT_EQ(server.round(), 1);
+  EXPECT_EQ(server.global_params().as_span()[0], 2.0f);
 }
 
 // ------------------------------------------------------------- simulation --

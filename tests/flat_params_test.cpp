@@ -7,7 +7,6 @@
 #include <limits>
 
 #include "nn/flat_params.h"
-#include "tensor/tensor_serde.h"
 #include "util/error.h"
 
 namespace dinar::nn {
@@ -228,38 +227,6 @@ TEST(FlatMathTest, LayoutMismatchThrowsNamedError) {
   FlatParams b(LayerIndex::build(other_entries));
   EXPECT_THROW(flat_add(a, b), Error);
   EXPECT_THROW(flat_add_scaled(a, b, 1.0f), Error);
-}
-
-// -- legacy tensor-list read path (the only surviving v1 format) -------------
-
-TEST(LegacyTensorParamsTest, ReadsTheV1TensorListPayload) {
-  Rng rng(5);
-  std::vector<Tensor> tensors;
-  tensors.push_back(Tensor::gaussian({4, 4}, rng));
-  tensors.push_back(Tensor::gaussian({7}, rng));
-
-  BinaryWriter w;
-  w.write_u64(tensors.size());
-  for (const Tensor& t : tensors) write_tensor(w, t);
-
-  BinaryReader r(w.buffer());
-  const FlatParams flat = read_legacy_tensor_params(r);
-  EXPECT_TRUE(r.exhausted());
-  ASSERT_EQ(flat.index()->num_entries(), 2u);
-  EXPECT_EQ(flat.numel(), 23);
-  for (std::size_t t = 0; t < tensors.size(); ++t) {
-    const std::span<const float> got = flat.entry_span(t);
-    ASSERT_EQ(got.size(), tensors[t].values().size());
-    for (std::size_t j = 0; j < got.size(); ++j)
-      EXPECT_EQ(got[j], tensors[t].values()[j]);
-  }
-}
-
-TEST(LegacyTensorParamsTest, CorruptCountPrefixRejected) {
-  BinaryWriter w;
-  w.write_u64(1u << 30);  // claims a billion tensors in an 8-byte buffer
-  BinaryReader r(w.buffer());
-  EXPECT_THROW(read_legacy_tensor_params(r), Error);
 }
 
 }  // namespace

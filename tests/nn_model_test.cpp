@@ -105,32 +105,6 @@ TEST(ModelTest, CopyIsDeep) {
   EXPECT_EQ(copy.parameters().as_span()[0], 9.0f);
 }
 
-TEST(ModelTest, SaveLoadRoundTrip) {
-  Rng rng(7);
-  Model m = make_tiny_mlp(4, 3, rng);
-  BinaryWriter w;
-  m.save(w);
-
-  Rng rng2(999);
-  Model other = make_tiny_mlp(4, 3, rng2);
-  BinaryReader r(w.buffer());
-  other.load(r);
-  FlatParams a = m.parameters(), b = other.parameters();
-  ASSERT_EQ(a.numel(), b.numel());
-  for (std::size_t j = 0; j < a.as_span().size(); ++j)
-    EXPECT_EQ(a.as_span()[j], b.as_span()[j]);
-}
-
-TEST(ModelTest, LoadRejectsGarbage) {
-  Rng rng(8);
-  Model m = make_tiny_mlp(4, 3, rng);
-  BinaryWriter w;
-  w.write_u32(0xDEADBEEF);
-  w.write_u32(1);
-  BinaryReader r(w.buffer());
-  EXPECT_THROW(m.load(r), Error);
-}
-
 TEST(ModelTest, ZeroGradClearsAccumulation) {
   Rng rng(9);
   Model m = make_tiny_mlp(4, 3, rng);

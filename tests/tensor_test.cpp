@@ -4,7 +4,6 @@
 #include <limits>
 
 #include "tensor/tensor.h"
-#include "tensor/tensor_serde.h"
 #include "util/error.h"
 
 namespace dinar {
@@ -254,26 +253,6 @@ INSTANTIATE_TEST_SUITE_P(Shapes, MatmulVariantTest,
                                            std::make_tuple(5, 1, 7),
                                            std::make_tuple(8, 8, 8),
                                            std::make_tuple(3, 17, 2)));
-
-// Serde round-trips over a sweep of shapes.
-class TensorSerdeTest : public ::testing::TestWithParam<Shape> {};
-
-TEST_P(TensorSerdeTest, RoundTripPreservesEverything) {
-  Rng rng(77);
-  Tensor t = Tensor::gaussian(GetParam(), rng);
-  BinaryWriter w;
-  write_tensor(w, t);
-  BinaryReader r(w.buffer());
-  Tensor back = read_tensor(r);
-  ASSERT_EQ(back.shape(), t.shape());
-  for (std::int64_t i = 0; i < t.numel(); ++i) EXPECT_EQ(back.at(i), t.at(i));
-  EXPECT_TRUE(r.exhausted());
-}
-
-INSTANTIATE_TEST_SUITE_P(Shapes, TensorSerdeTest,
-                         ::testing::Values(Shape{1}, Shape{16}, Shape{3, 4},
-                                           Shape{2, 3, 5}, Shape{2, 1, 4, 4},
-                                           Shape{0}));
 
 TEST(ShapeTest, NumelAndToString) {
   EXPECT_EQ(shape_numel({2, 3, 4}), 24);
