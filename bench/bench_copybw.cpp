@@ -6,13 +6,12 @@
 // (`kAllocsPerClient`, `kAllocsPerRound`), so a copy added anywhere on the
 // path fails the run.
 //
-// Second sweep: the DFRM v3 wire codec (DESIGN.md §14) — accuracy vs
-// bytes/round across encodings (f16 / bf16 / int8 / int8+top-k) and its
-// interaction with the DINAR obfuscation defense (obfuscated entries ride
-// lossless, shrinking the savings) and DP noise (quantization on top of
-// calibrated noise). Three CI gates, all live under `--smoke`: the forced-v3
-// lossless run must hash to the bit-identical final model of the v2 run,
-// int8 + top-k(0.1) must cut uplink wire bytes by >= 4x, and the v2 run
+// Second sweep: the DFRM wire codec (DESIGN.md §14) — accuracy vs
+// bytes/round across encodings (f32 / f16 / bf16 / int8 / int8+top-k) and
+// its interaction with the DINAR obfuscation defense (obfuscated entries
+// ride lossless, shrinking the savings) and DP noise (quantization on top
+// of calibrated noise). Two codec gates, both live under `--smoke`: int8 +
+// top-k(0.1) must cut uplink wire bytes by >= 4x, and the lossless f32 run
 // must reach 2x chance accuracy, since an accuracy column of untrained
 // models cannot show what a codec costs. The DINAR row reports its
 // clients' personalized accuracy; its global model is obfuscated.
@@ -31,7 +30,7 @@ namespace dinar::bench {
 namespace {
 
 // The codec sweep's accuracy column only shows a codec's cost if the
-// uncompressed run learns: the v2 row must reach this multiple of chance.
+// uncompressed run learns: the f32 row must reach this multiple of chance.
 constexpr double kLearnsOverChance = 2.0;
 
 // Arena allocations one round of run_flat may make: per client a snapshot
@@ -58,7 +57,7 @@ TrackerMark mark() {
 }
 
 // One round on the FlatParams path: every client snapshots the model into a
-// flat arena, frames it as a v2 update, the server decodes and FedAvgs.
+// flat arena, frames it as a lossless update, the server decodes and FedAvgs.
 RoundCost run_flat(nn::Model& model, int clients, int rounds) {
   fl::FlServer server(model.parameters(), std::make_unique<fl::NoServerDefense>());
   RoundCost cost;
@@ -105,7 +104,7 @@ std::uint64_t param_hash(const nn::FlatParams& params) {
 
 struct CodecRun {
   double bytes_up = 0.0, bytes_down = 0.0;        // per round, as shipped
-  double uncoded_up = 0.0, uncoded_down = 0.0;    // per round, v2-equivalent
+  double uncoded_up = 0.0, uncoded_down = 0.0;    // per round, raw-f32 baseline
   double global_accuracy = 0.0;
   double personalized_accuracy = 0.0;
   double chance = 0.0;  // 1 / number of classes
@@ -114,7 +113,7 @@ struct CodecRun {
 
 // One full (small) federated run under `codec` and the named defense.
 // Wire savings are read from the uncoded-bytes counters the codec turns on
-// in TransportStats, so every cell carries its own v2-equivalent baseline.
+// in TransportStats, so every cell carries its own raw-f32 baseline.
 CodecRun run_codec_cell(const DatasetCase& spec,
                         const fl::UpdateCodecConfig& codec,
                         const std::string& defense) {
@@ -208,7 +207,7 @@ int run(int argc, char** argv) {
   // intact mechanism), WDP shows quantization composing with DP noise.
   std::printf("\nWire codec — accuracy vs bytes/round (DESIGN.md §14)\n");
   print_table_header("codec/defense", {"upKB/rd", "downKB/rd", "saved_x",
-                                       "accuracy", "hash"});
+                                       "accuracy"});
   DatasetCase spec = small_mlp_case(smoke ? 0.35 : 1.0);
   spec.num_clients = 4;
   spec.rounds = smoke ? 3 : 6;
@@ -221,9 +220,6 @@ int run(int argc, char** argv) {
     spec.learning_rate = 5e-2;
   }
 
-  fl::UpdateCodecConfig lossless_v3;
-  lossless_v3.broadcast.force_v3 = true;
-  lossless_v3.update.force_v3 = true;
   fl::UpdateCodecConfig f16;
   f16.broadcast.encoding = fl::WireEncoding::kF16;
   f16.update.encoding = fl::WireEncoding::kF16;
@@ -242,8 +238,7 @@ int run(int argc, char** argv) {
     const char* defense;
   };
   const std::vector<CodecCell> cells{
-      {"v2", fl::UpdateCodecConfig{}, "none"},
-      {"v3-lossless", lossless_v3, "none"},
+      {"f32", fl::UpdateCodecConfig{}, "none"},
       {"f16", f16, "none"},
       {"bf16", bf16, "none"},
       {"int8", int8, "none"},
@@ -252,8 +247,7 @@ int run(int argc, char** argv) {
       {"int8+top0.1", int8_topk, "wdp"},
   };
 
-  std::uint64_t v2_hash = 0;
-  bool lossless_hash_ok = true, reduction_ok = true, learns_ok = true;
+  bool reduction_ok = true, learns_ok = true;
   const double kb = 1.0 / 1024.0;
   for (const CodecCell& cell : cells) {
     const CodecRun r = run_codec_cell(spec, cell.codec, cell.defense);
@@ -264,22 +258,15 @@ int run(int argc, char** argv) {
     // row reports what its clients use: the personalized models.
     const bool dinar = std::string(cell.defense) == "dinar";
     const double accuracy = dinar ? r.personalized_accuracy : r.global_accuracy;
-    if (std::string(cell.name) == "v2") {
-      v2_hash = r.final_hash;
+    if (std::string(cell.name) == "f32")
       learns_ok = accuracy >= kLearnsOverChance * r.chance;
-    }
-    bool hash_gate = true;
-    if (std::string(cell.name) == "v3-lossless") {
-      hash_gate = r.final_hash == v2_hash;
-      lossless_hash_ok = hash_gate;
-    }
     if (std::string(cell.name) == "int8+top0.1" &&
         std::string(cell.defense) == "none" && saved_up < 4.0)
       reduction_ok = false;
 
     print_table_row(std::string(cell.name) + "/" + cell.defense,
                     {r.bytes_up * kb, r.bytes_down * kb, saved_up,
-                     100.0 * accuracy, hash_gate ? 1.0 : 0.0});
+                     100.0 * accuracy});
     json.begin_row()
         .field("path", std::string("codec_sweep"))
         .field("codec", std::string(cell.name))
@@ -292,16 +279,14 @@ int run(int argc, char** argv) {
         .field("global_accuracy", r.global_accuracy)
         .field("personalized_accuracy", r.personalized_accuracy)
         .field("accuracy_reported", std::string(dinar ? "personalized" : "global"))
-        .field("final_model_hash", static_cast<std::int64_t>(r.final_hash >> 1))
-        .field("lossless_bit_identical",
-               std::string(hash_gate ? "true" : "false"));
+        .field("final_model_hash", static_cast<std::int64_t>(r.final_hash >> 1));
   }
-  std::printf("  expected: `saved_x` ~1 for v2/v3-lossless, ~2x for f16/bf16, "
+  std::printf("  expected: `saved_x` ~1 for f32, ~2x for f16/bf16, "
               ">= 4x for int8+top0.1 (gated); the dinar row saves less because "
               "its obfuscated layer ships lossless f32, and its accuracy is the "
               "personalized models' (its global model is obfuscated); the "
-              "lossless, f16, bf16 and int8 rows hold the v2 row's accuracy, "
-              "int8+top0.1 gives some up, and the v2 row must reach %.0fx chance "
+              "f16, bf16 and int8 rows hold the f32 row's accuracy, "
+              "int8+top0.1 gives some up, and the f32 row must reach %.0fx chance "
               "(gated).\n",
               kLearnsOverChance);
   json.write();
@@ -314,15 +299,9 @@ int run(int argc, char** argv) {
                  kAllocsPerClient, kAllocsPerRound);
     rc = 1;
   }
-  if (!lossless_hash_ok) {
-    std::fprintf(stderr,
-                 "FAIL: forced-v3 lossless run diverged from the v2 run's "
-                 "final model hash\n");
-    rc = 1;
-  }
   if (!learns_ok) {
     std::fprintf(stderr,
-                 "FAIL: the v2 run's global accuracy is below %.0fx chance, so the "
+                 "FAIL: the f32 run's global accuracy is below %.0fx chance, so the "
                  "accuracy column cannot show a codec's loss\n",
                  kLearnsOverChance);
     rc = 1;

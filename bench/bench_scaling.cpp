@@ -23,7 +23,7 @@
 // bit-identical final model. Every row also carries the
 // RoundPhaseTimings breakdown (downlink / train / uplink / validate /
 // shard / combine / commit). The legacy barriered engine this
-// sweep used to compare against was removed with its PipelineMode.
+// sweep used to compare against was removed; streaming is the only mode.
 //
 // Third sweep: sharded hierarchical aggregation (DESIGN.md §12) over a
 // synthetic cohort, clients 10^3 -> 10^5 x shards x threads, aggregation
@@ -264,7 +264,7 @@ int run(int argc, char** argv) {
           .field("clients_per_round", static_cast<std::int64_t>(clients))
           .field("num_shards", static_cast<std::int64_t>(1))
           .field("threads", static_cast<std::int64_t>(threads))
-          .field("pipeline", std::string(fl::to_string(fl::PipelineMode::kStream)))
+          .field("pipeline", std::string("stream"))
           .field("seconds_per_round", r.seconds_per_round)
           .field("speedup_vs_1_thread", speedup)
           .field("parallel_efficiency", efficiency)
@@ -332,7 +332,7 @@ int run(int argc, char** argv) {
                        hashes_match ? 1.0 : 0.0});
       json.begin_row()
           .field("case", std::string("pipeline_overlap"))
-          .field("pipeline", std::string(fl::to_string(fl::PipelineMode::kStream)))
+          .field("pipeline", std::string("stream"))
           .field("clients_per_round", static_cast<std::int64_t>(spec.num_clients))
           .field("num_shards", static_cast<std::int64_t>(4))
           .field("threads", static_cast<std::int64_t>(threads))

@@ -55,7 +55,7 @@ class FlClient {
 
   // Serializes an update under the installed codec, supplying the retained
   // broadcast reference for sparse runs. With the default codec this is
-  // byte-identical to update.serialize().
+  // update.serialize(): one dense f32 run per index entry.
   std::vector<std::uint8_t> serialize_update(const ModelUpdateMsg& update) const;
 
   TrainStats last_train_stats() const { return last_stats_; }

@@ -26,9 +26,9 @@
 // a corrupt record and stops replay there (longest-valid-prefix
 // semantics), never crashing.
 //
-// Streaming round engine interaction (DESIGN.md §13): under
-// PipelineMode::kStream the WAL append/fsync of round N overlaps the
-// serialization of round N+1's broadcast on the pool. That prefetch holds
+// Streaming round engine interaction (DESIGN.md §13): the WAL
+// append/fsync of round N overlaps the serialization of round N+1's
+// broadcast on the pool. That prefetch holds
 // no durable state — the record formats here carry nothing about it, a
 // crash at any point discards it harmlessly, and every recovery path
 // drops any in-flight prefetch before restoring. RoundOutcome::timings is

@@ -11,21 +11,20 @@ namespace {
 // by name instead of "not a message".
 constexpr std::uint32_t kGlobalMsgMagicV1 = 0x474D4F44;  // "GMOD"
 constexpr std::uint32_t kUpdateMsgMagicV1 = 0x55504454;  // "UPDT"
-// v2/v3 frames share one magic; the kind byte distinguishes the messages.
+// Both message kinds share one magic; the kind byte tells them apart.
 constexpr std::uint32_t kFlatMsgMagic = 0x4D524644;  // "DFRM"
-constexpr std::uint32_t kFlatMsgVersion = 2;
-constexpr std::uint32_t kFlatMsgVersionV3 = 3;
+constexpr std::uint32_t kFlatMsgVersion = 3;
 constexpr std::uint8_t kKindGlobal = 0;
 constexpr std::uint8_t kKindUpdate = 1;
 
-// The net frame layer sniffs the v3 header to bound the declared decoded
+// The net frame layer sniffs the header to bound the declared decoded
 // size before the message is ever parsed (net/frame.h mirrors these
 // fields because it cannot include this layer). Keep them locked together.
 static_assert(net::kMessageMagic == kFlatMsgMagic);
-static_assert(net::kMessageVersionCompressed == kFlatMsgVersionV3);
+static_assert(net::kMessageVersion == kFlatMsgVersion);
 static_assert(net::kMessageDecodedSizeOffset ==
               sizeof(kFlatMsgMagic) + sizeof(kKindGlobal) +
-                  sizeof(kFlatMsgVersionV3));
+                  sizeof(kFlatMsgVersion));
 
 // Runs one field's decode; a failure is rethrown naming the message type
 // and the offending field, which the server's quarantine path records to
@@ -44,25 +43,20 @@ void check_exhausted(const char* msg_type, const BinaryReader& r) {
                                       << " trailing bytes after field 'params'");
 }
 
-// Reads the v2/v3 header after the DFRM magic; checks kind and returns
-// the accepted version (2 or 3).
-std::uint32_t read_flat_header(const char* msg_type, BinaryReader& r,
-                               std::uint8_t expected_kind) {
+// Reads the header after the DFRM magic: checks the kind and the version,
+// then reads and bounds the declared decoded size. The cap is defense in
+// depth: the frame layer caps the same field, but messages also arrive
+// from tests without ever crossing a frame.
+std::uint64_t read_header(const char* msg_type, BinaryReader& r,
+                          std::uint8_t expected_kind) {
   const std::uint8_t kind =
       read_field(msg_type, "kind", [&] { return r.read_u8(); });
   DINAR_CHECK(kind == expected_kind,
               msg_type << ": bad field 'kind': " << static_cast<int>(kind));
   const std::uint32_t version =
       read_field(msg_type, "version", [&] { return r.read_u32(); });
-  DINAR_CHECK(version == kFlatMsgVersion || version == kFlatMsgVersionV3,
+  DINAR_CHECK(version == kFlatMsgVersion,
               msg_type << ": unsupported format version " << version);
-  return version;
-}
-
-// Reads and bounds the v3 declared decoded size. Defense in depth: the
-// frame layer caps the same field, but messages also arrive from tests and
-// future disk paths without ever crossing a frame.
-std::uint64_t read_decoded_bytes(const char* msg_type, BinaryReader& r) {
   const std::uint64_t decoded =
       read_field(msg_type, "decoded_bytes", [&] { return r.read_u64(); });
   DINAR_CHECK(decoded <= net::kDefaultMaxDecodedBytes,
@@ -72,31 +66,20 @@ std::uint64_t read_decoded_bytes(const char* msg_type, BinaryReader& r) {
   return decoded;
 }
 
-// Shared v3 preamble: magic, kind, version 3, decoded size.
-void write_v3_header(BinaryWriter& w, std::uint8_t kind,
-                     const nn::FlatParams& params) {
+// Magic, kind, version, decoded size.
+void write_header(BinaryWriter& w, std::uint8_t kind,
+                  const nn::FlatParams& params) {
   w.write_u32(kFlatMsgMagic);
   w.write_u8(kind);
-  w.write_u32(kFlatMsgVersionV3);
+  w.write_u32(kFlatMsgVersion);
   w.write_u64(static_cast<std::uint64_t>(params.numel()) * sizeof(float));
 }
 
 }  // namespace
 
-std::vector<std::uint8_t> GlobalModelMsg::serialize() const {
-  BinaryWriter w;
-  w.write_u32(kFlatMsgMagic);
-  w.write_u8(kKindGlobal);
-  w.write_u32(kFlatMsgVersion);
-  w.write_i64(round);
-  nn::write_flat_params(w, params);
-  return w.take();
-}
-
 std::vector<std::uint8_t> GlobalModelMsg::serialize(const KindCodec& codec) const {
-  if (!codec.v3()) return serialize();
   BinaryWriter w;
-  write_v3_header(w, kKindGlobal, params);
+  write_header(w, kKindGlobal, params);
   w.write_i64(round);
   write_flat_params_v3(w, params, codec, /*reference=*/nullptr);
   return w.take();
@@ -111,38 +94,19 @@ GlobalModelMsg GlobalModelMsg::deserialize(const std::vector<std::uint8_t>& byte
               "GlobalModelMsg: v1 tensor-list frames are no longer supported "
               "(removed after the one-release deprecation window)");
   DINAR_CHECK(magic == kFlatMsgMagic, "not a global-model message");
-  const std::uint32_t version = read_flat_header("GlobalModelMsg", r, kKindGlobal);
-  std::uint64_t decoded_bytes = 0;
-  if (version == kFlatMsgVersionV3)
-    decoded_bytes = read_decoded_bytes("GlobalModelMsg", r);
+  const std::uint64_t decoded_bytes = read_header("GlobalModelMsg", r, kKindGlobal);
   msg.round = read_field("GlobalModelMsg", "round", [&] { return r.read_i64(); });
   msg.params = read_field("GlobalModelMsg", "params", [&] {
-    return version == kFlatMsgVersionV3
-               ? read_flat_params_v3(r, decoded_bytes, /*reference=*/nullptr)
-               : nn::read_flat_params(r);
+    return read_flat_params_v3(r, decoded_bytes, /*reference=*/nullptr);
   });
   check_exhausted("GlobalModelMsg", r);
   return msg;
 }
 
-std::vector<std::uint8_t> ModelUpdateMsg::serialize() const {
-  BinaryWriter w;
-  w.write_u32(kFlatMsgMagic);
-  w.write_u8(kKindUpdate);
-  w.write_u32(kFlatMsgVersion);
-  w.write_u32(static_cast<std::uint32_t>(client_id));
-  w.write_i64(round);
-  w.write_i64(num_samples);
-  w.write_u8(pre_weighted ? 1 : 0);
-  nn::write_flat_params(w, params);
-  return w.take();
-}
-
 std::vector<std::uint8_t> ModelUpdateMsg::serialize(
     const KindCodec& codec, const nn::FlatParams* reference) const {
-  if (!codec.v3()) return serialize();
   BinaryWriter w;
-  write_v3_header(w, kKindUpdate, params);
+  write_header(w, kKindUpdate, params);
   w.write_u32(static_cast<std::uint32_t>(client_id));
   w.write_i64(round);
   w.write_i64(num_samples);
@@ -161,10 +125,7 @@ ModelUpdateMsg ModelUpdateMsg::deserialize(const std::vector<std::uint8_t>& byte
               "ModelUpdateMsg: v1 tensor-list frames are no longer supported "
               "(removed after the one-release deprecation window)");
   DINAR_CHECK(magic == kFlatMsgMagic, "not a model-update message");
-  const std::uint32_t version = read_flat_header("ModelUpdateMsg", r, kKindUpdate);
-  std::uint64_t decoded_bytes = 0;
-  if (version == kFlatMsgVersionV3)
-    decoded_bytes = read_decoded_bytes("ModelUpdateMsg", r);
+  const std::uint64_t decoded_bytes = read_header("ModelUpdateMsg", r, kKindUpdate);
   const std::uint32_t raw_client =
       read_field("ModelUpdateMsg", "client_id", [&] { return r.read_u32(); });
   DINAR_CHECK(raw_client <= 0x7FFFFFFFu,
@@ -174,26 +135,27 @@ ModelUpdateMsg ModelUpdateMsg::deserialize(const std::vector<std::uint8_t>& byte
   msg.round = read_field("ModelUpdateMsg", "round", [&] { return r.read_i64(); });
   msg.num_samples =
       read_field("ModelUpdateMsg", "num_samples", [&] { return r.read_i64(); });
-  msg.pre_weighted =
-      read_field("ModelUpdateMsg", "pre_weighted", [&] { return r.read_u8(); }) != 0;
+  const std::uint8_t pre_weighted =
+      read_field("ModelUpdateMsg", "pre_weighted", [&] { return r.read_u8(); });
+  DINAR_CHECK(pre_weighted <= 1, "ModelUpdateMsg: bad field 'pre_weighted': "
+                                     << static_cast<int>(pre_weighted));
+  msg.pre_weighted = pre_weighted != 0;
   msg.params = read_field("ModelUpdateMsg", "params", [&] {
-    return version == kFlatMsgVersionV3
-               ? read_flat_params_v3(r, decoded_bytes, reference)
-               : nn::read_flat_params(r);
+    return read_flat_params_v3(r, decoded_bytes, reference);
   });
   check_exhausted("ModelUpdateMsg", r);
   return msg;
 }
 
 std::uint64_t v2_wire_bytes(const GlobalModelMsg& msg) {
-  // magic + kind + version + round, then the v2 params body.
+  // magic + kind + version + round, then the raw-f32 params body.
   return sizeof(kFlatMsgMagic) + sizeof(kKindGlobal) + sizeof(kFlatMsgVersion) +
          sizeof(msg.round) + flat_params_v2_bytes(msg.params);
 }
 
 std::uint64_t v2_wire_bytes(const ModelUpdateMsg& msg) {
   // magic + kind + version + client_id(u32) + round + num_samples +
-  // pre_weighted(u8), then the v2 params body.
+  // pre_weighted(u8), then the raw-f32 params body.
   return sizeof(kFlatMsgMagic) + sizeof(kKindUpdate) + sizeof(kFlatMsgVersion) +
          sizeof(std::uint32_t) + sizeof(msg.round) + sizeof(msg.num_samples) + 1 +
          flat_params_v2_bytes(msg.params);

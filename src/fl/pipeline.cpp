@@ -1,42 +1,16 @@
 #include "fl/pipeline.h"
 
 #include <condition_variable>
-#include <cstdlib>
 #include <exception>
 #include <mutex>
 #include <vector>
 
-#include "util/error.h"
 #include "util/execution_context.h"
 
 namespace dinar::fl {
 
-const char* to_string(PipelineMode mode) {
-  switch (mode) {
-    case PipelineMode::kStream: return "stream";
-  }
-  return "?";
-}
-
-PipelineMode pipeline_mode_from_name(const std::string& name) {
-  if (name == "stream") return PipelineMode::kStream;
-  throw Error("unknown pipeline mode '" + name + "' (known: stream)");
-}
-
-std::optional<PipelineMode> pipeline_mode_env_override() {
-  const char* env = std::getenv("DINAR_PIPELINE");
-  if (env == nullptr || *env == '\0') return std::nullopt;
-  try {
-    return pipeline_mode_from_name(env);
-  } catch (const Error&) {
-    throw Error(std::string("DINAR_PIPELINE='") + env +
-                "' is not a pipeline mode (known: stream; empty/unset "
-                "defers to the simulation config)");
-  }
-}
-
-RoundPipeline::RoundPipeline(PipelineMode mode, const ExecutionContext* exec)
-    : mode_(mode), exec_(exec) {}
+RoundPipeline::RoundPipeline(PipelineMode /*mode*/, const ExecutionContext* exec)
+    : exec_(exec) {}
 
 namespace {
 

@@ -23,9 +23,8 @@
 //
 // Hence the streaming schedule is bit-identical to the barriered one for
 // any thread count — the pipeline only changes *when* commits run relative
-// to the task fan-out, never their order or inputs. The legacy barrier
-// mode was removed after its one-release bisection window; kStream is the
-// only schedule, and the enum/env seam remains for a future one.
+// to the task fan-out, never their order or inputs. It is the only
+// schedule; nothing selects it.
 //
 // Who runs a task: the coordinator owns a fixed share of the indices —
 // every (W+1)-th one below n-1, starting at W, for W pool workers — and
@@ -58,8 +57,6 @@
 #pragma once
 
 #include <functional>
-#include <optional>
-#include <string>
 
 namespace dinar {
 class ExecutionContext;
@@ -67,28 +64,18 @@ class ExecutionContext;
 
 namespace dinar::fl {
 
+// One-value schedule tag, kept only as RoundPipeline's first constructor
+// argument because the benchmark's traced replay
+// (perfbench/src/traced_run.cpp) still passes it.
 enum class PipelineMode {
-  kStream,  // event-driven: commits overlap the straggler tail (the only mode)
+  kStream,
 };
-const char* to_string(PipelineMode mode);
-// Throws dinar::Error naming the unknown mode and listing the known ones
-// (mirrors aggregator_kind_from_name).
-PipelineMode pipeline_mode_from_name(const std::string& name);
-
-// DINAR_PIPELINE env pin: "stream" forces the mode for every simulation in
-// the process (read at simulation construction), "" / unset defers to
-// SimulationConfig::pipeline. Unknown values — including the removed
-// "barrier" — throw, the same strictness as DINAR_GEMM_KERNEL, so a stale
-// CI pin fails loudly instead of silently testing the wrong path.
-std::optional<PipelineMode> pipeline_mode_env_override();
 
 class RoundPipeline {
  public:
   // `exec` may be null (sequential). The pipeline holds the pointer only
   // for the duration of each run() call.
   RoundPipeline(PipelineMode mode, const ExecutionContext* exec);
-
-  PipelineMode mode() const { return mode_; }
 
   // Runs task(idx) for idx in [0, n) across the pool and commit(idx) for
   // every idx strictly in ascending order on the calling thread:
@@ -103,7 +90,6 @@ class RoundPipeline {
            const std::function<void(std::size_t)>& commit) const;
 
  private:
-  PipelineMode mode_;
   const ExecutionContext* exec_;
 };
 

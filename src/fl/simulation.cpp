@@ -44,7 +44,6 @@ FederatedSimulation::FederatedSimulation(nn::ModelFactory model_factory,
       config_(config), exec_(std::make_unique<ExecutionContext>(config.exec)),
       rng_(config.seed) {
   validate_config();
-  pipeline_mode_ = pipeline_mode_env_override().value_or(config_.pipeline);
   transport_ = config_.socket_transport
                    ? std::make_unique<SocketTransport>()
                    : std::make_unique<Transport>();
@@ -413,8 +412,9 @@ void FederatedSimulation::prepare_downlink(RoundState& st) {
   // the round's broadcast AS DECODED. The server decodes its own broadcast
   // bytes once here — bit-identical to what every client's receive_global
   // decoded, even under a lossy broadcast codec — and the exchange tasks
-  // read it concurrently. The uncoded (v2-equivalent) sizes feed the
-  // bytes-saved counters, accounted per delivered copy like bytes_up/down.
+  // read it concurrently. The uncoded (raw-f32, v2_wire_bytes) sizes feed
+  // the bytes-saved counters, accounted per delivered copy like
+  // bytes_up/down.
   st.codec_active = config_.codec.active();
   if (config_.codec.update.topk_fraction < 1.0) {
     const auto d0 = std::chrono::steady_clock::now();
@@ -440,7 +440,7 @@ void FederatedSimulation::run_exchanges(RoundState& st) {
     }
     std::vector<Exchange> exchanges(st.pending.size());
     st.still_pending.clear();
-    RoundPipeline(pipeline_mode_, exec_.get())
+    RoundPipeline(PipelineMode::kStream, exec_.get())
         .run(
             st.pending.size(),
             [&](std::size_t idx) { exchange_task(st, st.pending[idx], exchanges[idx]); },
@@ -696,14 +696,7 @@ void FederatedSimulation::append_round_to_store(
     clients_[i].save_state(w);
   }
 
-  // Cumulative counters as absolute post-round values — doubles (the
-  // latency clock) do not reconstruct bit-exactly from deltas.
-  write_transport_stats(w, transport_->stats());
-  const FaultInjector* faults = transport_->faults();
-  w.write_u8(faults != nullptr ? 1 : 0);
-  if (faults != nullptr) write_fault_stats(w, faults->stats());
-  w.write_u8(adversary_ != nullptr ? 1 : 0);
-  if (adversary_ != nullptr) write_attack_stats(w, adversary_->stats());
+  write_counters(w);
 
   store_->append(w.buffer());
 }
@@ -741,12 +734,7 @@ void FederatedSimulation::save_full_state(BinaryWriter& w) const {
   w.write_u64(round_log_.size());
   for (const RoundOutcome& out : round_log_) write_round_outcome(w, out);
 
-  write_transport_stats(w, transport_->stats());
-  const FaultInjector* faults = transport_->faults();
-  w.write_u8(faults != nullptr ? 1 : 0);
-  if (faults != nullptr) write_fault_stats(w, faults->stats());
-  w.write_u8(adversary_ != nullptr ? 1 : 0);
-  if (adversary_ != nullptr) write_attack_stats(w, adversary_->stats());
+  write_counters(w);
 }
 
 void FederatedSimulation::restore_full_state(BinaryReader& r) {
@@ -782,15 +770,7 @@ void FederatedSimulation::restore_full_state(BinaryReader& r) {
   round_log_.reserve(nl);
   for (std::uint64_t i = 0; i < nl; ++i) round_log_.push_back(read_round_outcome(r));
 
-  transport_->restore_stats(read_transport_stats(r));
-  if (r.read_u8() != 0) {
-    const FaultStats fs = read_fault_stats(r);
-    if (transport_->faults() != nullptr) transport_->faults()->restore_stats(fs);
-  }
-  if (r.read_u8() != 0) {
-    const AttackStats as = read_attack_stats(r);
-    if (adversary_ != nullptr) adversary_->restore_stats(as);
-  }
+  read_counters(r);
   DINAR_CHECK(r.exhausted(), "trailing bytes in full-state snapshot");
   last_updates_.clear();
 }
@@ -842,6 +822,21 @@ bool FederatedSimulation::apply_wal_record(BinaryReader& r) {
     clients_[id].restore_state(r);
   }
 
+  read_counters(r);
+  round_log_.push_back(out);
+  return true;
+}
+
+void FederatedSimulation::write_counters(BinaryWriter& w) const {
+  write_transport_stats(w, transport_->stats());
+  const FaultInjector* faults = transport_->faults();
+  w.write_u8(faults != nullptr ? 1 : 0);
+  if (faults != nullptr) write_fault_stats(w, faults->stats());
+  w.write_u8(adversary_ != nullptr ? 1 : 0);
+  if (adversary_ != nullptr) write_attack_stats(w, adversary_->stats());
+}
+
+void FederatedSimulation::read_counters(BinaryReader& r) {
   transport_->restore_stats(read_transport_stats(r));
   if (r.read_u8() != 0) {
     const FaultStats fs = read_fault_stats(r);
@@ -851,8 +846,6 @@ bool FederatedSimulation::apply_wal_record(BinaryReader& r) {
     const AttackStats as = read_attack_stats(r);
     if (adversary_ != nullptr) adversary_->restore_stats(as);
   }
-  round_log_.push_back(out);
-  return true;
 }
 
 std::int64_t FederatedSimulation::recover_from_store() {

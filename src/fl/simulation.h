@@ -43,12 +43,11 @@
 // client-id order on the coordinator, which pins down every
 // order-dependent floating-point sum for any thread count.
 //
-// Round pipelining (DESIGN.md §13): the streaming round engine
-// (PipelineMode::kStream, the only schedule since the legacy kBarrier
-// mode's one-release bisection window elapsed) commits each exchange the
-// moment it completes — validating the update and folding it into its
-// shard's in-progress accumulator while slower clients are still running —
-// and overlaps the next round's broadcast serialization with the WAL
+// Round pipelining (DESIGN.md §13): the streaming round engine (the only
+// schedule; no config field or environment pin selects it) commits each
+// exchange the moment it completes — validating the update and folding it
+// into its shard's in-progress accumulator while slower clients are still
+// running — and overlaps the next round's broadcast serialization with the WAL
 // commit. Commit order, not compute order, fixes every result, so runs are
 // bit-identical for any thread count; the determinism gauntlet enforces it.
 //
@@ -179,18 +178,11 @@ struct SimulationConfig {
   // transport — only the socket_* counters differ from zero.
   bool socket_transport = false;
 
-  // -- round pipelining ------------------------------------------------------
-  // The round engine schedule (see header comment). kStream is the only
-  // mode; the field and the DINAR_PIPELINE environment pin (read at
-  // simulation construction, overriding this field) survive as the seam a
-  // future schedule would slot into.
-  PipelineMode pipeline = PipelineMode::kStream;
-
   // -- wire codec (DESIGN.md §14) -------------------------------------------
-  // DFRM v3 compressed payload codec for both message kinds. The default
-  // (lossless f32, dense) keeps every wire byte identical to v2; any lossy
-  // setting also turns on the bytes_*_uncoded counters in TransportStats so
-  // runs report their wire savings.
+  // Params-body codec for both message kinds. The default (lossless f32,
+  // dense) ships every entry as one raw f32 run; any lossy setting also
+  // turns on the bytes_*_uncoded counters in TransportStats so runs report
+  // their wire savings.
   UpdateCodecConfig codec;
 };
 
@@ -269,10 +261,6 @@ class FederatedSimulation {
  public:
   FederatedSimulation(nn::ModelFactory model_factory, data::FlSplit split,
                       SimulationConfig config, DefenseBundle defenses);
-
-  // The round schedule actually in effect (config.pipeline unless
-  // DINAR_PIPELINE overrode it at construction).
-  PipelineMode pipeline_mode() const { return pipeline_mode_; }
 
   // Runs every remaining round (config.rounds minus any already completed,
   // e.g. after restore_full_state() or recover_from_store()).
@@ -398,6 +386,12 @@ class FederatedSimulation {
   // Applies one WAL record; returns false when the record is a stale
   // duplicate (skip) — malformed records throw and the caller stops.
   bool apply_wal_record(BinaryReader& r);
+  // The cumulative-counters trailer every WAL round record and every
+  // full-state snapshot ends with: transport stats, then fault stats and
+  // attack stats, each behind a presence byte. Absolute values, since the
+  // latency clock (a double) does not rebuild bit-exactly from deltas.
+  void write_counters(BinaryWriter& w) const;
+  void read_counters(BinaryReader& r);
   // Blocks until the in-flight broadcast-prefetch task (if any) finished
   // serializing; safe to call with none pending.
   void join_prefetch();
@@ -421,8 +415,6 @@ class FederatedSimulation {
   std::vector<RoundRecord> history_;
   std::vector<RoundOutcome> round_log_;
   Rng rng_;
-  // Round schedule (config.pipeline unless DINAR_PIPELINE overrode it).
-  PipelineMode pipeline_mode_ = PipelineMode::kStream;
   // Next-round broadcast prefetch (stream mode): after a round commits,
   // the new global model is copied on the coordinator and serialized on
   // the pool, overlapping the WAL fsync / snapshot / eval that follow.

@@ -30,10 +30,12 @@ struct TransportStats {
   std::uint64_t bytes_down = 0;
   std::uint64_t frame_bytes_up = 0;   // checksum-frame overhead
   std::uint64_t frame_bytes_down = 0;
-  // What bytes_up/bytes_down WOULD have been under the lossless v2 format
-  // — the other side of the wire-codec savings ratio. Accounted per
-  // delivered copy by the simulation only when a compressed codec is
-  // active; zero otherwise (ratio undefined → report as 1x).
+  // What bytes_up/bytes_down WOULD have been with every message's params
+  // as a bare f32 arena (fl::v2_wire_bytes, the raw-f32 baseline) — the
+  // other side of the wire-codec savings ratio. Accounted per delivered
+  // copy by the simulation only when a compressed codec is active
+  // (UpdateCodecConfig::active); zero otherwise (ratio undefined → report
+  // as 1x).
   std::uint64_t bytes_up_uncoded = 0;
   std::uint64_t bytes_down_uncoded = 0;
   double simulated_latency_seconds = 0.0;

@@ -298,10 +298,11 @@ nn::FlatParams read_flat_params_v3(BinaryReader& r, std::uint64_t decoded_bytes,
   const std::int64_t total = index->total_numel();
   // The header's declared decoded size was bounded by the frame/message
   // layers BEFORE this call; tying the index to it here means a tampered
-  // shape header cannot make this allocation exceed that bound.
-  DINAR_CHECK(total >= 0 && static_cast<std::uint64_t>(total) *
-                                    sizeof(float) ==
-                                decoded_bytes,
+  // shape header cannot make this allocation exceed that bound. Divide
+  // rather than multiply: total * 4 wraps for totals of 2^62 and up.
+  DINAR_CHECK(total >= 0 && decoded_bytes % sizeof(float) == 0 &&
+                  static_cast<std::uint64_t>(total) ==
+                      decoded_bytes / sizeof(float),
               "v3 params declare " << decoded_bytes
                                    << " decoded bytes but the index holds "
                                    << total << " floats");

@@ -1,9 +1,8 @@
-// DFRM v3 compressed payload codec: per-layer element encodings + top-k
+// DFRM params-body codec: per-layer element encodings + top-k
 // sparsification for the two FL message kinds (DESIGN.md §14).
 //
-// v2 ships every parameter arena as raw f32. v3 keeps the v2 header
-// structure (magic, kind, version, message fields, layer-index header) and
-// replaces the contiguous f32 arena with one coded run per index entry:
+// Every message (fl/message.h) carries its parameters as the layer-index
+// header followed by one coded run per index entry:
 //
 //   entry run := u8 encoding (WireEncoding)
 //                u8 run_flags (bit0 = sparse)
@@ -12,8 +11,10 @@
 //                          k coded values
 //                [dense]   numel coded values
 //
-// The encoding is chosen PER ENTRY at serialization time, which is what
-// lets compression compose with the DINAR mechanism: entries tagged
+// The default codec (f32, dense) writes every run as dense raw f32: the
+// lossless format, 2 bytes per entry over a bare f32 arena. The encoding
+// is chosen PER ENTRY at serialization time, which is what lets
+// compression compose with the DINAR mechanism: entries tagged
 // is_obfuscated carry the privacy-bearing obfuscated layer, and with
 // `lossless_obfuscated` (the default) they are always emitted as dense raw
 // f32 regardless of the configured encoding, so quantization noise never
@@ -64,21 +65,18 @@ struct KindCodec {
   // Emit DINAR-obfuscated entries as dense raw f32 regardless of
   // `encoding` (keeps the privacy mechanism's noise calibration intact).
   bool lossless_obfuscated = true;
-  // Emit the v3 container even when the codec is lossless; used by tests
-  // and benches to exercise the v3 path with bit-exact payload values.
-  bool force_v3 = false;
 
   bool lossless() const {
     return encoding == WireEncoding::kF32 && topk_fraction >= 1.0;
   }
-  // Whether this kind serializes as version 3 (else byte-identical v2).
-  bool v3() const { return force_v3 || !lossless(); }
 };
 
 struct UpdateCodecConfig {
   KindCodec broadcast;  // server -> clients
   KindCodec update;     // clients -> server
-  bool active() const { return broadcast.v3() || update.v3(); }
+  // Whether either kind compresses; only then does the simulation account
+  // the raw-f32 baseline in TransportStats' bytes_*_uncoded counters.
+  bool active() const { return !broadcast.lossless() || !update.lossless(); }
 };
 
 // Throws dinar::Error on an unusable config: unknown encoding value,
@@ -86,14 +84,14 @@ struct UpdateCodecConfig {
 // no reference to reconstruct against before the first broadcast lands).
 void validate_codec_config(const UpdateCodecConfig& config);
 
-// Writes the v3 params body (index header + coded runs). `reference` is
+// Writes the params body (index header + coded runs). `reference` is
 // required when codec.topk_fraction < 1 and must have the same layout as
 // `p`; it may be null for dense codecs.
 void write_flat_params_v3(BinaryWriter& w, const nn::FlatParams& p,
                           const KindCodec& codec,
                           const nn::FlatParams* reference);
 
-// Reads the v3 params body. `decoded_bytes` is the header's declared
+// Reads the params body. `decoded_bytes` is the header's declared
 // decoded size, already bounded by the frame/message layers; the arena is
 // only allocated after the index's numel is checked against it, so a
 // tampered shape header cannot allocate beyond the declared (and capped)
@@ -102,9 +100,11 @@ void write_flat_params_v3(BinaryWriter& w, const nn::FlatParams& p,
 nn::FlatParams read_flat_params_v3(BinaryReader& r, std::uint64_t decoded_bytes,
                                    const nn::FlatParams* reference);
 
-// Size of the v2 params body (index header + raw f32 arena) for `p`,
-// computed without serializing — the "uncoded bytes" side of the
-// bytes-saved accounting in TransportStats.
+// Size of `p` as a raw-f32 params body (index header + u64 float count +
+// bare f32 arena, the retired version-2 layout), computed without
+// serializing: the "uncoded bytes" baseline of the bytes-saved accounting
+// in TransportStats. The lossless coded body is 2 bytes per entry larger,
+// less the 8-byte float count the message header's decoded size replaces.
 std::uint64_t flat_params_v2_bytes(const nn::FlatParams& p);
 
 }  // namespace dinar::fl

@@ -125,7 +125,7 @@ std::vector<std::uint8_t> open_frame(const std::vector<std::uint8_t>& framed) {
               "transport frame: checksum mismatch (payload corrupted in flight)");
   const auto decoded = declared_decoded_bytes(payload, length);
   DINAR_CHECK(!decoded.has_value() || *decoded <= kDefaultMaxDecodedBytes,
-              "transport frame: v3 payload declares "
+              "transport frame: message payload declares "
                   << (decoded ? *decoded : 0) << " decoded bytes, over the "
                   << kDefaultMaxDecodedBytes << "-byte cap");
   return std::vector<std::uint8_t>(payload, payload + length);
@@ -137,7 +137,7 @@ std::optional<std::uint64_t> declared_decoded_bytes(const std::uint8_t* payload,
   std::uint32_t magic = 0, version = 0;
   std::memcpy(&magic, payload, sizeof magic);
   std::memcpy(&version, payload + sizeof magic + 1, sizeof version);
-  if (magic != kMessageMagic || version != kMessageVersionCompressed)
+  if (magic != kMessageMagic || version != kMessageVersion)
     return std::nullopt;
   std::uint64_t decoded = 0;
   std::memcpy(&decoded, payload + kMessageDecodedSizeOffset, sizeof decoded);
@@ -192,7 +192,7 @@ std::optional<std::vector<std::uint8_t>> FrameReader::next() {
     error_ = Error::kBadChecksum;
     return std::nullopt;
   }
-  // Checksum-valid frames may still be hostile: a v3 message declares the
+  // Checksum-valid frames may still be hostile: a message declares the
   // size decoding will allocate, which the wire length does not bound.
   if (const auto decoded = declared_decoded_bytes(payload, length);
       decoded.has_value() && *decoded > max_decoded_bytes_) {

@@ -39,9 +39,9 @@ inline constexpr std::size_t kFrameHeaderBytes =
 // field cannot make a peer allocate gigabytes.
 inline constexpr std::size_t kDefaultMaxFrameBytes = 256u << 20;
 
-// Compressed (DFRM v3) message payloads additionally declare the size of
-// the DECODED parameter arena in their header, because the wire length no
-// longer bounds what decoding allocates: an int8 + top-k payload can be
+// DFRM message payloads (version 3, the only version) declare the size of
+// the DECODED parameter arena in their header, because the wire length
+// does not bound what decoding allocates: an int8 + top-k payload can be
 // 30x smaller than its arena, so a tiny frame passing the kOversize check
 // could still declare a multi-GB decompressed arena (a decompression
 // bomb). The net layer cannot include fl/message.h (layering), so the few
@@ -49,14 +49,15 @@ inline constexpr std::size_t kDefaultMaxFrameBytes = 256u << 20;
 // header and static-asserts against drift. Offsets: u32 magic @0, u8 kind
 // @4, u32 version @5, u64 decoded size @9.
 inline constexpr std::uint32_t kMessageMagic = 0x4D524644;  // "DFRM" (message order)
-inline constexpr std::uint32_t kMessageVersionCompressed = 3;
+inline constexpr std::uint32_t kMessageVersion = 3;
 inline constexpr std::size_t kMessageDecodedSizeOffset =
     sizeof(std::uint32_t) + sizeof(std::uint8_t) + sizeof(std::uint32_t);
 inline constexpr std::size_t kDefaultMaxDecodedBytes = 1u << 30;
 
-// The decoded size a v3 message payload declares, or nullopt when the
-// payload is not a v3 DFRM message (v2 and foreign payloads decode no
-// larger than their wire size, which kOversize already bounds).
+// The decoded size a DFRM message payload declares, or nullopt when the
+// payload is not a version-3 DFRM message (foreign payloads decode no
+// larger than their wire size, which kOversize already bounds, and the
+// message decoder refuses any other version by name).
 std::optional<std::uint64_t> declared_decoded_bytes(const std::uint8_t* payload,
                                                     std::size_t n);
 
@@ -87,7 +88,7 @@ class FrameReader {
     kBadMagic,         // stream bytes are not a DFRM header
     kOversize,         // length field exceeds the configured cap
     kBadChecksum,      // complete frame whose payload fails XXH64
-    kOversizeDecoded,  // v3 payload declares a decoded arena over the cap
+    kOversizeDecoded,  // message payload declares a decoded arena over the cap
   };
   static const char* to_string(Error e);
 

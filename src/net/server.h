@@ -67,7 +67,7 @@ enum class EvictReason {
   kBadMagic,         // stream bytes stopped being DFRM frames
   kOversizeFrame,    // length field exceeded max_frame_bytes
   kBadChecksum,      // complete frame failed XXH64 verification
-  kOversizeDecoded,  // v3 payload declared a decoded size over the cap
+  kOversizeDecoded,  // message payload declared a decoded size over the cap
   kSlowPeer,         // send queue blocked past write_stall_timeout
   kIdle,             // no frame received within idle_timeout
   kShed,             // accepted beyond max_connections, closed on arrival

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 
 #include "util/error.h"
 #include "util/memory_tracker.h"
@@ -19,6 +20,11 @@ std::shared_ptr<const LayerIndex> LayerIndex::build(std::vector<LayerEntry> entr
     LayerEntry& e = index->entries_[i];
     e.offset = offset;
     e.numel = shape_numel(e.shape);
+    // Deserialized shapes are attacker-controlled: each numel fits int64,
+    // but their sum may not (signed overflow is UB).
+    DINAR_CHECK(e.numel <= std::numeric_limits<std::int64_t>::max() - offset,
+                "layer index entry " << i << " (" << e.name
+                                     << ") overflows the arena's element count");
     offset += e.numel;
     if (i == 0) {
       DINAR_CHECK(e.layer_id == 0, "layer index must start at layer 0, got "

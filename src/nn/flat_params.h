@@ -17,9 +17,12 @@
 // shallow for layout. Spans returned by as_span()/entry_span()/layer_span()
 // alias the arena and are invalidated by move/destruction, never by reads.
 //
-// Tensor-shaped input enters through FlatParams::from_tensors(). The flat
-// serde below (v2 index header + arena) is the only parameter format:
-// messages, durable snapshots and the wire codec all carry it.
+// Tensor-shaped input enters through FlatParams::from_tensors(). One
+// layer-index header is the only parameter layout, with two bodies after
+// it: the storage body below (index header + one contiguous f32 arena),
+// which DFST snapshots, WAL records and client/defense state carry, and
+// the message body of fl/wire_codec.h (index header + one coded run per
+// entry), which every DFRM message carries.
 #pragma once
 
 #include <cstdint>
@@ -156,10 +159,9 @@ std::size_t flat_first_non_finite_entry(const FlatParams& a);
 void write_flat_params(BinaryWriter& w, const FlatParams& p);
 FlatParams read_flat_params(BinaryReader& r);
 
-// The index-header half of the flat-params format on its own. The DFRM v3
-// compressed payload (fl/wire_codec.*) reuses the exact v2 index header and
-// replaces only the arena payload with per-entry coded runs, so v2 and v3
-// frames stay structurally aligned up to the first coded byte.
+// The index-header half of the flat-params format on its own. The DFRM
+// message body (fl/wire_codec.*) reuses this exact header and replaces
+// only the arena payload with per-entry coded runs.
 void write_layer_index(BinaryWriter& w, const LayerIndex& index);
 std::shared_ptr<const LayerIndex> read_layer_index(BinaryReader& r);
 

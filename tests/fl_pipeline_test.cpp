@@ -1,8 +1,6 @@
 // Streaming round engine tests (DESIGN.md §13).
 //
-// Three layers:
-//  - mode registry: names, unknown-mode errors (including the removed
-//    legacy "barrier" mode), the DINAR_PIPELINE pin;
+// Two layers:
 //  - RoundPipeline: the scheduling contract itself — ascending commits
 //    overlapping the still-running tail, deterministic lowest-index error
 //    surfacing and full drain on abort;
@@ -17,7 +15,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -36,7 +33,6 @@
 #include "fl/simulation.h"
 #include "store/round_store.h"
 #include "test_helpers.h"
-#include "util/error.h"
 #include "util/execution_context.h"
 #include "util/serde.h"
 #include "util/thread_pool.h"
@@ -46,46 +42,6 @@ namespace {
 
 using dinar::testing::make_easy_dataset;
 using dinar::testing::tiny_mlp_factory;
-
-// ---------------------------------------------------------- mode registry --
-
-TEST(PipelineModeTest, RegistryRoundTrips) {
-  EXPECT_STREQ(to_string(PipelineMode::kStream), "stream");
-  EXPECT_EQ(pipeline_mode_from_name("stream"), PipelineMode::kStream);
-}
-
-TEST(PipelineModeTest, UnknownModeNamesTheKnownOnes) {
-  try {
-    pipeline_mode_from_name("warp");
-    FAIL() << "expected an error";
-  } catch (const Error& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("warp"), std::string::npos);
-    EXPECT_NE(what.find("stream"), std::string::npos);
-  }
-}
-
-TEST(PipelineModeTest, RemovedBarrierModeIsRejected) {
-  // The legacy barriered schedule was dropped after its one-release
-  // bisection window; a stale pin must fail loudly, not silently run the
-  // streaming engine while claiming otherwise.
-  EXPECT_THROW(pipeline_mode_from_name("barrier"), Error);
-  ASSERT_EQ(setenv("DINAR_PIPELINE", "barrier", 1), 0);
-  EXPECT_THROW(pipeline_mode_env_override(), Error);
-  ASSERT_EQ(unsetenv("DINAR_PIPELINE"), 0);
-}
-
-TEST(PipelineModeTest, EnvOverrideParsesAndRejects) {
-  ASSERT_EQ(unsetenv("DINAR_PIPELINE"), 0);
-  EXPECT_FALSE(pipeline_mode_env_override().has_value());
-  ASSERT_EQ(setenv("DINAR_PIPELINE", "", 1), 0);
-  EXPECT_FALSE(pipeline_mode_env_override().has_value());
-  ASSERT_EQ(setenv("DINAR_PIPELINE", "stream", 1), 0);
-  EXPECT_EQ(pipeline_mode_env_override(), PipelineMode::kStream);
-  ASSERT_EQ(setenv("DINAR_PIPELINE", "bogus", 1), 0);
-  EXPECT_THROW(pipeline_mode_env_override(), Error);
-  ASSERT_EQ(unsetenv("DINAR_PIPELINE"), 0);
-}
 
 // ----------------------------------------------------------- RoundPipeline --
 
@@ -464,7 +420,6 @@ SimRun run_sim(unsigned threads) {
 
   FederatedSimulation sim(tiny_mlp_factory(2, 2), std::move(split),
                           overlap_config(threads), DefenseBundle{});
-  EXPECT_EQ(sim.pipeline_mode(), PipelineMode::kStream);
   sim.run();
 
   SimRun out;
@@ -598,26 +553,6 @@ TEST(PipelineSimTest, FedAvgStreamingAccumulatorMatchesAcrossThreadCounts) {
     return state_of(sim);
   };
   EXPECT_EQ(run(1), run(4));
-}
-
-TEST(PipelineSimTest, EnvPinStreamIsAcceptedAndStaleBarrierPinThrows) {
-  ASSERT_EQ(setenv("DINAR_PIPELINE", "stream", 1), 0);
-  Rng rng(23);
-  data::Dataset full = make_easy_dataset(64, rng);
-  data::FlSplitConfig split_cfg;
-  split_cfg.num_clients = 6;
-  FederatedSimulation sim(tiny_mlp_factory(2, 2),
-                          data::make_fl_split(full, split_cfg, rng),
-                          overlap_config(1), DefenseBundle{});
-  EXPECT_EQ(sim.pipeline_mode(), PipelineMode::kStream);
-  ASSERT_EQ(setenv("DINAR_PIPELINE", "barrier", 1), 0);
-  Rng rng2(23);
-  data::Dataset full2 = make_easy_dataset(64, rng2);
-  EXPECT_THROW(FederatedSimulation(tiny_mlp_factory(2, 2),
-                                   data::make_fl_split(full2, split_cfg, rng2),
-                                   overlap_config(1), DefenseBundle{}),
-               Error);
-  ASSERT_EQ(unsetenv("DINAR_PIPELINE"), 0);
 }
 
 }  // namespace

@@ -85,10 +85,10 @@ TEST(MessageTest, TruncationErrorNamesOffendingField) {
   g.params = small_params(rng);
   auto bytes = g.serialize();
 
-  // Cut inside the round field (v2 header: magic 4 + kind 1 + version 4,
-  // then round 8).
+  // Cut inside the round field (header: magic 4 + kind 1 + version 4 +
+  // decoded size 8, then round 8).
   auto mid_round = bytes;
-  mid_round.resize(11);
+  mid_round.resize(19);
   try {
     GlobalModelMsg::deserialize(mid_round);
     FAIL() << "expected Error";

@@ -132,26 +132,25 @@ TEST(FrameReaderTest, CorruptPayloadPoisonsWithChecksumError) {
   EXPECT_EQ(r.error(), FrameReader::Error::kBadChecksum);
 }
 
-// A minimal v3 DFRM *message* payload header: the frame layer sniffs the
+// A minimal DFRM *message* payload header: the frame layer sniffs the
 // declared decoded size at its fixed offset without parsing the message.
-std::vector<std::uint8_t> v3_message_payload(std::uint64_t decoded_bytes) {
+std::vector<std::uint8_t> message_payload(std::uint64_t decoded_bytes) {
   std::vector<std::uint8_t> p(kMessageDecodedSizeOffset + sizeof(std::uint64_t) + 4,
                               0x33);
   std::memcpy(p.data(), &kMessageMagic, sizeof kMessageMagic);
   p[4] = 1;  // kind
-  std::memcpy(p.data() + 5, &kMessageVersionCompressed,
-              sizeof kMessageVersionCompressed);
+  std::memcpy(p.data() + 5, &kMessageVersion, sizeof kMessageVersion);
   std::memcpy(p.data() + kMessageDecodedSizeOffset, &decoded_bytes,
               sizeof decoded_bytes);
   return p;
 }
 
 TEST(FrameReaderTest, OversizeDecodedDeclarationPoisonsTheStream) {
-  // Decompression-bomb guard: a tiny, checksum-valid frame whose v3 payload
+  // Decompression-bomb guard: a tiny, checksum-valid frame whose payload
   // declares a multi-GB decoded arena poisons the stream by name, before
   // any decode-side allocation could happen.
   FrameReader r;
-  const auto framed = frame(v3_message_payload(1ull << 40));
+  const auto framed = frame(message_payload(1ull << 40));
   r.feed(framed.data(), framed.size());
   EXPECT_FALSE(r.next().has_value());
   EXPECT_EQ(r.error(), FrameReader::Error::kOversizeDecoded);
@@ -163,17 +162,18 @@ TEST(FrameReaderTest, OversizeDecodedDeclarationPoisonsTheStream) {
 
   // A declaration under the cap passes through untouched...
   FrameReader ok;
-  const auto payload = v3_message_payload(4096);
+  const auto payload = message_payload(4096);
   const auto good = frame(payload);
   ok.feed(good.data(), good.size());
   ASSERT_TRUE(ok.next().has_value());
   EXPECT_FALSE(ok.poisoned());
   EXPECT_EQ(open_frame(good), payload);
 
-  // ...and non-v3 payloads are never sniffed: the same huge bytes at the
-  // decoded-size offset of a version-2 message mean nothing.
+  // ...and payloads of another version are never sniffed: the same huge
+  // bytes at the decoded-size offset of a version-2 message mean nothing
+  // here (the message decoder refuses that version by name).
   FrameReader v2;
-  auto legacy = v3_message_payload(1ull << 40);
+  auto legacy = message_payload(1ull << 40);
   const std::uint32_t version2 = 2;
   std::memcpy(legacy.data() + 5, &version2, sizeof version2);
   const auto legacy_framed = frame(legacy);
@@ -186,7 +186,7 @@ TEST(FrameReaderTest, ChecksumStillWinsOverOversizeDecoded) {
   // A corrupted frame must report corruption, not trust the (equally
   // corrupt) decoded-size field: the checksum verdict comes first.
   FrameReader r;
-  auto framed = frame(v3_message_payload(1ull << 40));
+  auto framed = frame(message_payload(1ull << 40));
   framed[framed.size() - 1] ^= 0x01;
   r.feed(framed.data(), framed.size());
   EXPECT_FALSE(r.next().has_value());
@@ -440,7 +440,7 @@ TEST(TcpTest, CorruptFrameEvictsWithBadChecksum) {
 }
 
 TEST(TcpTest, OversizeDecodedFrameEvictsAsAProtocolError) {
-  // A checksum-valid frame whose v3 payload declares a decoded arena over
+  // A checksum-valid frame whose payload declares a decoded arena over
   // the cap (a decompression bomb) is a framing violation, not a close.
   EchoServer echo;
   std::atomic<int> last_reason{-1};
@@ -448,7 +448,7 @@ TEST(TcpTest, OversizeDecodedFrameEvictsAsAProtocolError) {
       [&](int, EvictReason reason) { last_reason = static_cast<int>(reason); });
   TcpClient client(client_config(echo.server.port()));
   ASSERT_TRUE(client.ensure_connected());
-  ASSERT_TRUE(client.send_raw(frame(v3_message_payload(1ull << 40))));
+  ASSERT_TRUE(client.send_raw(frame(message_payload(1ull << 40))));
   ASSERT_TRUE(eventually([&] { return last_reason.load() != -1; }));
   EXPECT_EQ(last_reason.load(), static_cast<int>(EvictReason::kOversizeDecoded));
   EXPECT_STREQ(to_string(EvictReason::kOversizeDecoded), "oversize_decoded");

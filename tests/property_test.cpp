@@ -133,6 +133,9 @@ TEST(TransportPropertyTest, ByteCountMatchesSerializedPayloads) {
   msg.num_samples = sim.clients()[0].num_samples();
   msg.params = view.parameters();
   EXPECT_EQ(sim.transport().stats().bytes_up, 2u * 2u * msg.serialize().size());
+  // The default codec is lossless, so no raw-f32 baseline is accounted.
+  EXPECT_EQ(sim.transport().stats().bytes_up_uncoded, 0u);
+  EXPECT_EQ(sim.transport().stats().bytes_down_uncoded, 0u);
 }
 
 // ------------------------------------------------ consensus determinism --

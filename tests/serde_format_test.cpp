@@ -1,10 +1,15 @@
-// Wire format-version suite: v2 DFRM frames are bit-exact and
-// self-describing, v1 tensor-list messages are rejected by name (no v1
-// payload is read anywhere), and truncation/corruption at every
-// interesting offset dies with a named error instead of garbage state.
+// Wire format-version suite. FormatV2Test covers the flat DFRM message
+// family that replaced the v1 tensor-list frames (its one version on the
+// wire is 3): default-codec messages are bit-exact and self-describing,
+// any other version — the retired 2 included — is refused by name, and
+// corruption of the params body in either of its forms (the storage body
+// of nn/flat_params.h, the coded runs of a message) dies with a named
+// error instead of garbage state. FormatV1Test: v1 tensor-list messages are
+// rejected by name (no v1 payload is read anywhere).
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
 
 #include "fl/message.h"
 #include "nn/flat_params.h"
@@ -42,7 +47,7 @@ void expect_bitwise_equal(const nn::FlatParams& a, const nn::FlatParams& b) {
             0);
 }
 
-// ----------------------------------------------------------- v2 framing --
+// ------------------------------------------------------ DFRM framing --
 
 TEST(FormatV2Test, SerializeIsDeterministicAndRoundTripsBitExact) {
   Rng rng(1);
@@ -52,14 +57,17 @@ TEST(FormatV2Test, SerializeIsDeterministicAndRoundTripsBitExact) {
   const auto bytes = g.serialize();
   EXPECT_EQ(bytes, g.serialize());  // byte-stable across calls
 
-  // The frame leads with DFRM + kind + version.
+  // The frame leads with DFRM + kind + version + decoded size.
   std::uint32_t magic = 0;
   std::memcpy(&magic, bytes.data(), sizeof magic);
   EXPECT_EQ(magic, kFlatMsgMagic);
   EXPECT_EQ(bytes[4], 0);  // kind: global
   std::uint32_t version = 0;
   std::memcpy(&version, bytes.data() + 5, sizeof version);
-  EXPECT_EQ(version, 2u);
+  EXPECT_EQ(version, 3u);
+  std::uint64_t decoded = 0;
+  std::memcpy(&decoded, bytes.data() + 9, sizeof decoded);
+  EXPECT_EQ(decoded, static_cast<std::uint64_t>(g.params.numel()) * sizeof(float));
 
   fl::GlobalModelMsg back = fl::GlobalModelMsg::deserialize(bytes);
   EXPECT_EQ(back.round, 9);
@@ -105,14 +113,19 @@ TEST(FormatV2Test, UnsupportedVersionAndWrongKindRejected) {
   g.params = sample_params(rng);
   auto bytes = g.serialize();
 
-  auto future = bytes;
-  future[5] = 99;  // version u32 little-endian low byte
-  try {
-    fl::GlobalModelMsg::deserialize(future);
-    FAIL() << "expected Error";
-  } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find("unsupported format version"),
-              std::string::npos);
+  // The retired version 2 and a future version alike: refused by name.
+  for (const std::uint8_t version : {2, 99}) {
+    auto other = bytes;
+    other[5] = version;  // version u32 little-endian low byte
+    try {
+      fl::GlobalModelMsg::deserialize(other);
+      FAIL() << "expected Error";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("unsupported format version " +
+                                           std::to_string(version)),
+                std::string::npos)
+          << e.what();
+    }
   }
 
   auto wrong_kind = bytes;
@@ -173,6 +186,23 @@ TEST(FormatV2Test, CorruptEntryFlagsAndShortPayloadRejected) {
       EXPECT_THROW(nn::read_flat_params(r), Error) << "cut at " << cut;
     }
   }
+  // The same defects in a message's params body. A one-entry update ends
+  // with the entry flags byte, the shape, then the run: encoding byte,
+  // run-flags byte, two floats.
+  fl::ModelUpdateMsg u;
+  u.num_samples = 1;
+  u.params = p;
+  const auto msg = u.serialize();
+  const std::size_t run = msg.size() - 2 * sizeof(float) - 2;
+  const std::size_t entry_flags = run - 2 * sizeof(std::int64_t) - 1;
+  for (const std::size_t at : {entry_flags, run, run + 1}) {
+    auto bad = msg;
+    bad[at] = 7;  // no entry flag, encoding or run flag takes this value
+    EXPECT_THROW(fl::ModelUpdateMsg::deserialize(bad), Error) << "byte " << at;
+  }
+  auto short_payload = msg;
+  short_payload.pop_back();  // one byte short of the second float
+  EXPECT_THROW(fl::ModelUpdateMsg::deserialize(short_payload), Error);
 }
 
 // ---------------------------------------------------- v1 frame rejection --

@@ -1,13 +1,14 @@
-// DFRM v3 compressed wire format suite (DESIGN.md §14).
+// DFRM wire codec suite (DESIGN.md §14).
 //
 // Unit half (WireCodecTest): per-encoding round trips, sparse top-k delta
 // coding against a reference, the lossless-obfuscated escape hatch, the
-// int8 scale policy on degenerate spans (all-zero / NaN / Inf), v2 read
-// compatibility, and — mirroring serde_format_test — truncation at every
-// byte offset plus a bit-flip sweep that must never crash.
+// int8 scale policy on degenerate spans (all-zero / NaN / Inf), the
+// raw-f32 baseline's size, and — mirroring serde_format_test — truncation
+// at every byte offset plus a bit-flip sweep that must never crash, over
+// default-codec messages of both kinds and an int8 + top-k update, and
+// hostile layer-index headers that must fail by name.
 //
-// Simulation half (WireCodecSimTest): a forced-v3 lossless run is
-// bit-identical to the default v2 run, lossy codecs train and populate the
+// Simulation half (WireCodecSimTest): lossy codecs train and populate the
 // uncoded-bytes savings counters, and the codec is transparent to the
 // socket transport.
 #include <gtest/gtest.h>
@@ -16,6 +17,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "fl/message.h"
@@ -98,27 +100,16 @@ TEST(WireCodecTest, ValidateConfigRejectsUnusableSettings) {
   }
 }
 
-TEST(WireCodecTest, DefaultCodecEmitsByteIdenticalV2) {
-  Rng rng(1);
-  fl::GlobalModelMsg g;
-  g.round = 4;
-  g.params = sample_params(rng);
-  EXPECT_EQ(g.serialize(fl::KindCodec{}), g.serialize());
-  EXPECT_EQ(read_version(g.serialize(fl::KindCodec{})), 2u);
-
-  fl::ModelUpdateMsg u;
-  u.client_id = 2;
-  u.num_samples = 9;
-  u.params = sample_params(rng);
-  EXPECT_EQ(u.serialize(fl::KindCodec{}, nullptr), u.serialize());
-}
-
-TEST(WireCodecTest, V2WireBytesMatchesActualV2Size) {
+TEST(WireCodecTest, V2WireBytesPlusTwoPerEntryIsTheLosslessMessageSize) {
+  // The raw-f32 baseline stays anchored to real bytes: a lossless message
+  // adds one encoding and one flags byte per index entry, and its header's
+  // decoded size replaces the bare arena's float count.
   Rng rng(2);
   fl::GlobalModelMsg g;
   g.round = 1;
   g.params = sample_params(rng);
-  EXPECT_EQ(fl::v2_wire_bytes(g), g.serialize().size());
+  const std::uint64_t entries = g.params.index()->num_entries();
+  EXPECT_EQ(g.serialize().size(), fl::v2_wire_bytes(g) + 2 * entries);
 
   fl::ModelUpdateMsg u;
   u.client_id = 7;
@@ -126,19 +117,18 @@ TEST(WireCodecTest, V2WireBytesMatchesActualV2Size) {
   u.num_samples = 33;
   u.pre_weighted = true;
   u.params = sample_params(rng);
-  EXPECT_EQ(fl::v2_wire_bytes(u), u.serialize().size());
+  u.params.reset_index(u.params.index()->with_obfuscated({1}));
+  EXPECT_EQ(u.serialize().size(), fl::v2_wire_bytes(u) + 2 * entries);
 }
 
-// ---------------------------------------------------------- v3 container --
+// ------------------------------------------------------------- container --
 
 TEST(WireCodecTest, ForcedV3LosslessRoundTripsBitExact) {
   Rng rng(3);
   fl::GlobalModelMsg g;
   g.round = 12;
   g.params = sample_params(rng);
-  fl::KindCodec c;
-  c.force_v3 = true;
-  const auto bytes = g.serialize(c);
+  const auto bytes = g.serialize();
   EXPECT_EQ(read_version(bytes), 3u);
   // The decoded-size field at the fixed offset declares the arena bytes.
   EXPECT_EQ(read_decoded_bytes_field(bytes),
@@ -154,13 +144,16 @@ TEST(WireCodecTest, ForcedV3LosslessRoundTripsBitExact) {
   u.num_samples = 40;
   u.pre_weighted = true;
   u.params = sample_params(rng);
-  const auto ub = u.serialize(c, nullptr);
+  const auto ub = u.serialize();
   EXPECT_EQ(read_version(ub), 3u);
   const fl::ModelUpdateMsg uback = fl::ModelUpdateMsg::deserialize(ub);
   EXPECT_EQ(uback.client_id, 5);
   EXPECT_EQ(uback.num_samples, 40);
   EXPECT_TRUE(uback.pre_weighted);
   expect_bitwise_equal(uback.params, u.params);
+  // Dense runs never consult a reference, so supplying one changes nothing.
+  expect_bitwise_equal(fl::ModelUpdateMsg::deserialize(ub, &g.params).params,
+                       u.params);
 }
 
 TEST(WireCodecTest, F16RepresentableValuesRoundTripExactly) {
@@ -356,8 +349,8 @@ std::vector<std::uint32_t> oracle_topk(const std::vector<float>& delta,
 }
 
 // The update frame the encoder must emit for `u`, a one-entry model coded
-// sparse against `ref`: header and layer index as in the dense forced-v3
-// frame of the same message, then the sparse run of the oracle's selection.
+// sparse against `ref`: header and layer index as in the lossless frame of
+// the same message, then the sparse run of the oracle's selection.
 std::vector<std::uint8_t> oracle_sparse_frame(const fl::ModelUpdateMsg& u,
                                               const nn::FlatParams& ref,
                                               const fl::KindCodec& codec) {
@@ -376,9 +369,7 @@ std::vector<std::uint8_t> oracle_sparse_frame(const fl::ModelUpdateMsg& u,
     max_abs = std::max(max_abs, std::fabs(vals[j]));
   }
 
-  fl::KindCodec dense = codec_of(fl::WireEncoding::kF32);
-  dense.force_v3 = true;
-  std::vector<std::uint8_t> frame = u.serialize(dense, &ref);
+  std::vector<std::uint8_t> frame = u.serialize(codec_of(fl::WireEncoding::kF32), &ref);
   frame.resize(frame.size() - (2 + n * sizeof(float)));  // drop the dense run
 
   BinaryWriter w;
@@ -491,49 +482,102 @@ TEST(WireCodecTest, TopKMatchesOracleOnLargeEntriesWithManyTies) {
 
 // --------------------------------------------- corruption & compatibility --
 
-TEST(WireCodecTest, TruncationAtEveryByteOffsetThrows) {
-  Rng rng(9);
-  const nn::FlatParams ref = sample_params(rng);
-  nn::FlatParams p = ref;
-  Rng rng2(10);
+// The byte sweeps' inputs, all decoded against `ref`: a default-codec
+// broadcast and update (dense f32 runs; the update carries pre_weighted and
+// an obfuscated entry), and an int8 + top-k update, which exercises every
+// run field: scale, k, indices, coded values.
+struct SweepInput {
+  const char* name;
+  std::vector<std::uint8_t> bytes;
+  bool global;    // a GlobalModelMsg, else a ModelUpdateMsg
+  bool lossless;  // written by the default codec
+};
+
+struct SweepCase {
+  nn::FlatParams ref;
+  std::vector<SweepInput> inputs;
+};
+
+SweepCase sweep_case(std::uint64_t seed) {
+  Rng rng(seed);
+  SweepCase c;
+  c.ref = sample_params(rng);
+  nn::FlatParams p = c.ref;
+  Rng rng2(seed + 1);
   for (float& v : p.as_span()) v += static_cast<float>(rng2.gaussian()) * 0.1f;
-  fl::ModelUpdateMsg u;
-  u.client_id = 1;
-  u.num_samples = 2;
-  u.params = p;
-  // int8 + top-k exercises every v3 field: scale, k, indices, coded values.
-  const auto full = u.serialize(codec_of(fl::WireEncoding::kInt8, 0.5), &ref);
-  EXPECT_EQ(read_version(full), 3u);
-  for (std::size_t cut = 0; cut < full.size(); ++cut) {
-    std::vector<std::uint8_t> part(full.begin(),
-                                   full.begin() + static_cast<long>(cut));
-    EXPECT_THROW(fl::ModelUpdateMsg::deserialize(part, &ref), Error)
-        << "cut at " << cut;
+
+  fl::GlobalModelMsg g;
+  g.round = 5;
+  g.params = p;
+  fl::ModelUpdateMsg dense;
+  dense.client_id = 3;
+  dense.round = 5;
+  dense.num_samples = 2;
+  dense.pre_weighted = true;
+  dense.params = p;
+  dense.params.reset_index(p.index()->with_obfuscated({1}));
+  fl::ModelUpdateMsg sparse;
+  sparse.client_id = 1;
+  sparse.num_samples = 2;
+  sparse.params = p;
+  c.inputs.push_back({"default-codec global", g.serialize(), true, true});
+  c.inputs.push_back({"default-codec update", dense.serialize(), false, true});
+  c.inputs.push_back(
+      {"int8+top-k update",
+       sparse.serialize(codec_of(fl::WireEncoding::kInt8, 0.5), &c.ref), false,
+       false});
+  return c;
+}
+
+TEST(WireCodecTest, TruncationAtEveryByteOffsetThrows) {
+  const SweepCase c = sweep_case(9);
+  for (const SweepInput& in : c.inputs) {
+    EXPECT_EQ(read_version(in.bytes), 3u);
+    for (std::size_t cut = 0; cut < in.bytes.size(); ++cut) {
+      const std::vector<std::uint8_t> part(in.bytes.begin(),
+                                           in.bytes.begin() + static_cast<long>(cut));
+      if (in.global) {
+        EXPECT_THROW(fl::GlobalModelMsg::deserialize(part), Error)
+            << in.name << " cut at " << cut;
+      } else {
+        EXPECT_THROW(fl::ModelUpdateMsg::deserialize(part, &c.ref), Error)
+            << in.name << " cut at " << cut;
+      }
+    }
   }
 }
 
 TEST(WireCodecTest, BitFlipAtEveryByteOffsetNeverCrashes) {
-  Rng rng(11);
-  const nn::FlatParams ref = sample_params(rng);
-  nn::FlatParams p = ref;
-  Rng rng2(12);
-  for (float& v : p.as_span()) v += static_cast<float>(rng2.gaussian()) * 0.1f;
-  fl::ModelUpdateMsg u;
-  u.client_id = 1;
-  u.num_samples = 2;
-  u.params = p;
-  const auto full = u.serialize(codec_of(fl::WireEncoding::kInt8, 0.5), &ref);
   // The transport's frame checksum catches in-flight flips; this sweep
   // proves the parser itself survives a flip that slipped past it — every
   // outcome is a named Error or a structurally valid message, never UB.
-  for (std::size_t at = 0; at < full.size(); ++at) {
-    auto bent = full;
-    bent[at] ^= 0xFF;
-    try {
-      const fl::ModelUpdateMsg back = fl::ModelUpdateMsg::deserialize(bent, &ref);
-      EXPECT_EQ(back.params.numel(), p.numel());
-    } catch (const Error&) {
-      // rejected by name — fine
+  // A default-codec message the decoder accepts re-encodes to exactly the
+  // bytes it was decoded from: no field takes a value its writer cannot
+  // produce.
+  const SweepCase c = sweep_case(11);
+  for (const SweepInput& in : c.inputs) {
+    for (std::size_t at = 0; at < in.bytes.size(); ++at) {
+      auto bent = in.bytes;
+      bent[at] ^= 0xFF;
+      try {
+        std::int64_t numel = 0;
+        std::vector<std::uint8_t> again;
+        if (in.global) {
+          const fl::GlobalModelMsg back = fl::GlobalModelMsg::deserialize(bent);
+          numel = back.params.numel();
+          again = back.serialize();
+        } else {
+          const fl::ModelUpdateMsg back = fl::ModelUpdateMsg::deserialize(bent, &c.ref);
+          numel = back.params.numel();
+          again = back.serialize();
+        }
+        EXPECT_EQ(numel, c.ref.numel()) << in.name << " flip at " << at;
+        if (in.lossless) {
+          EXPECT_EQ(again, bent) << in.name << " flip at " << at;
+        }
+      } catch (const Error&) {
+        // rejected by name — fine
+      }
     }
   }
 }
@@ -542,9 +586,7 @@ TEST(WireCodecTest, TamperedDecodedBytesFieldRejected) {
   Rng rng(13);
   fl::GlobalModelMsg g;
   g.params = sample_params(rng);
-  fl::KindCodec c;
-  c.force_v3 = true;
-  const auto bytes = g.serialize(c);
+  const auto bytes = g.serialize();
 
   // Declared size disagreeing with the index is rejected...
   auto small = bytes;
@@ -564,24 +606,81 @@ TEST(WireCodecTest, TamperedDecodedBytesFieldRejected) {
   }
 }
 
-TEST(WireCodecTest, V2FramesStillDeserializeThroughTheV3Reader) {
-  Rng rng(14);
-  fl::GlobalModelMsg g;
-  g.round = 2;
-  g.params = sample_params(rng);
-  const auto v2 = g.serialize();
-  const auto back = fl::GlobalModelMsg::deserialize(v2);
-  expect_bitwise_equal(back.params, g.params);
-  EXPECT_EQ(back.serialize(), v2);
+// An update message written field by field, so a test can declare any
+// decoded size and layer-index header: magic, kind, version, decoded
+// size, client/round/samples, the pre_weighted byte, then one index entry
+// per shape (layer ids 0, 1, ...) and the raw `runs` bytes.
+std::vector<std::uint8_t> handmade_update(std::uint64_t decoded_bytes,
+                                          std::uint8_t pre_weighted,
+                                          const std::vector<Shape>& shapes,
+                                          const std::vector<std::uint8_t>& runs) {
+  BinaryWriter w;
+  w.write_u32(0x4D524644);  // "DFRM"
+  w.write_u8(1);            // kind: update
+  w.write_u32(3);
+  w.write_u64(decoded_bytes);
+  w.write_u32(0);  // client_id
+  w.write_i64(0);  // round
+  w.write_i64(1);  // num_samples
+  w.write_u8(pre_weighted);
+  w.write_u64(shapes.size());
+  for (std::size_t i = 0; i < shapes.size(); ++i) {
+    std::string name = "e";  // append: GCC 12 -O3 flags "lit" + string
+    name.append(std::to_string(i));
+    w.write_string(name);
+    w.write_u32(static_cast<std::uint32_t>(i));
+    w.write_u8(0);
+    w.write_i64_vector(shapes[i]);
+  }
+  w.write_bytes(runs.data(), runs.size());
+  return w.take();
+}
 
-  fl::ModelUpdateMsg u;
-  u.client_id = 4;
-  u.num_samples = 6;
-  u.params = sample_params(rng);
-  // A v2 frame decodes identically whether or not a reference is supplied.
-  const auto ub = u.serialize();
-  expect_bitwise_equal(fl::ModelUpdateMsg::deserialize(ub).params,
-                       fl::ModelUpdateMsg::deserialize(ub, &g.params).params);
+// One dense f32 run holding 1.0f.
+const std::vector<std::uint8_t> kOneFloatRun{0, 0, 0x00, 0x00, 0x80, 0x3F};
+
+TEST(WireCodecTest, EntryWhoseByteCountWrapsIsRejectedByName) {
+  // (2^62 + 1) floats are 2^64 + 4 bytes, which wraps to the 4 bytes the
+  // header declares: the size check must not multiply, or the decoder goes
+  // on to allocate 2^62 floats (std::length_error, not a dinar::Error).
+  const std::int64_t n = (std::int64_t{1} << 62) + 1;
+  const auto bytes = handmade_update(4, 0, {{n}}, kOneFloatRun);
+  try {
+    fl::ModelUpdateMsg::deserialize(bytes);
+    FAIL() << "expected Error";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("decoded bytes"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(WireCodecTest, EntriesWhoseElementCountsOverflowAreRejectedByName) {
+  // Each entry's numel fits int64; their sum does not (signed overflow).
+  const std::int64_t n = std::int64_t{1} << 62;
+  const auto bytes = handmade_update(0, 0, {{n}, {n}}, {});
+  try {
+    fl::ModelUpdateMsg::deserialize(bytes);
+    FAIL() << "expected Error";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("overflows"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(WireCodecTest, PreWeightedByteOtherThanZeroOrOneIsRejectedByName) {
+  EXPECT_FALSE(fl::ModelUpdateMsg::deserialize(
+                   handmade_update(4, 0, {{1}}, kOneFloatRun))
+                   .pre_weighted);
+  EXPECT_TRUE(fl::ModelUpdateMsg::deserialize(
+                  handmade_update(4, 1, {{1}}, kOneFloatRun))
+                  .pre_weighted);
+  try {
+    fl::ModelUpdateMsg::deserialize(handmade_update(4, 2, {{1}}, kOneFloatRun));
+    FAIL() << "expected Error";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("'pre_weighted'"), std::string::npos)
+        << e.what();
+  }
 }
 
 // ------------------------------------------------------- simulation level --
@@ -600,29 +699,6 @@ fl::FederatedSimulation make_sim(int seed, const fl::UpdateCodecConfig& codec,
   data::FlSplit split = data::make_fl_split(full, split_cfg, rng);
   return fl::FederatedSimulation(tiny_mlp_factory(2, 2), std::move(split), cfg,
                                  fl::DefenseBundle{});
-}
-
-TEST(WireCodecSimTest, LosslessForcedV3RunIsBitIdenticalToV2Run) {
-  fl::FederatedSimulation v2 = make_sim(21, fl::UpdateCodecConfig{});
-  v2.run();
-
-  fl::UpdateCodecConfig lossless;
-  lossless.broadcast.force_v3 = true;
-  lossless.update.force_v3 = true;
-  fl::FederatedSimulation v3 = make_sim(21, lossless);
-  v3.run();
-
-  expect_bitwise_equal(v3.server().global_params(), v2.server().global_params());
-  // Only the container changed, so the uncoded counters report the exact
-  // v2 payload size — slightly below the v3 bytes that actually shipped.
-  const fl::TransportStats& s2 = v2.transport().stats();
-  const fl::TransportStats& s3 = v3.transport().stats();
-  EXPECT_EQ(s2.bytes_up_uncoded, 0u);    // inactive codec: no accounting
-  EXPECT_EQ(s2.bytes_down_uncoded, 0u);
-  EXPECT_GT(s3.bytes_up_uncoded, 0u);
-  EXPECT_GT(s3.bytes_down_uncoded, 0u);
-  EXPECT_GT(s3.bytes_up, s3.bytes_up_uncoded);  // v3 header overhead
-  EXPECT_GT(s3.bytes_down, s3.bytes_down_uncoded);
 }
 
 TEST(WireCodecSimTest, LossyCodecTrainsAndSavesWireBytes) {
