@@ -30,11 +30,11 @@
 // only (no training) so the tree itself is what's measured: the cohort is
 // absorbed into a ShardedAggregationSession in client-id order and
 // finalized. Every single-shard cell is gated on bit-identity with the
-// flat RobustAggregator::aggregate() path, which runs the strategy's
-// whole-cohort pass on the full pool, where the session folds updates in
-// one at a time and finalizes each shard as one pool task — the exit code
-// reflects the gates, so CI (which runs `--smoke` on every matrix leg,
-// including TSan) fails on any divergence.
+// flat RobustAggregator::aggregate() path: the session borrows the
+// updates and runs each shard's strategy across the pool at finalize,
+// the flat path runs the same strategy over the whole cohort — the exit
+// code reflects the gates, so CI (which runs `--smoke` on every matrix
+// leg, including TSan) fails on any divergence.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -71,7 +71,7 @@ struct ScalingOpts {
   std::size_t num_shards = 1;
   // > 0 parks a real wall-clock sleep of this length on the last (highest
   // id) client of every shard — the worst case for the streaming engine's
-  // overlap, since each shard's accumulator stays open until its tail.
+  // overlap, since each shard's member list stays open until its tail.
   double straggler_wall_seconds = 0.0;
 };
 
@@ -186,7 +186,7 @@ bool run_shard_cell(BenchJson& json, fl::AggregatorKind kind, int clients,
   agg->set_execution_context(&exec);
 
   const auto t0 = std::chrono::steady_clock::now();
-  fl::ShardedAggregationSession session(*agg, global, shard_cfg, &exec);
+  fl::ShardedAggregationSession session(*agg, global, shard_cfg);
   for (const fl::ModelUpdateMsg& u : updates) session.absorb(u);
   const fl::HierarchicalResult hier = session.finalize();
   const double seconds =

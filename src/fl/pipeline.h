@@ -8,9 +8,9 @@
 //
 // RoundPipeline treats each exchange completion as an *event*: the moment
 // client idx's task finishes AND every commit below idx has run,
-// commit(idx) runs on the coordinator thread — folding the update into
-// its shard's in-progress accumulator (ShardAccumulator) while later
-// clients are still training or sleeping on a slow link. The determinism
+// commit(idx) runs on the coordinator thread — validating the update and
+// moving it into the server's aggregation session while later clients are
+// still training or sleeping on a slow link. The determinism
 // argument splits the schedule in two:
 //
 //   compute order  — tasks run in any order on any thread count; they are

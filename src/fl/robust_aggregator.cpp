@@ -1,6 +1,7 @@
 #include "fl/robust_aggregator.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <numeric>
 #include <sstream>
@@ -22,9 +23,10 @@ void run_range(const ExecutionContext* exec, std::size_t n, std::size_t grain,
     fn(0, static_cast<std::int64_t>(n));
 }
 
-// Per-coordinate loops cost ~members ops each; keep chunks near 16k ops.
+// Per-coordinate loops cost ~members ops each; keep chunks near 16k ops,
+// and at least one cache line (16 floats) wide.
 std::size_t coord_grain(std::size_t members) {
-  return std::max<std::size_t>(std::size_t{64}, 16384 / std::max<std::size_t>(1, members));
+  return std::max<std::size_t>(std::size_t{16}, 16384 / std::max<std::size_t>(1, members));
 }
 
 // Marks the layer-index entries excluded from scoring (obfuscated layers).
@@ -39,12 +41,12 @@ std::vector<bool> excluded_mask(const RobustConfig& config, std::size_t num_entr
   return mask;
 }
 
-void require_raw_updates(std::span<const ModelUpdateMsg> updates, const char* name) {
-  for (const ModelUpdateMsg& u : updates)
-    DINAR_CHECK(!u.pre_weighted,
+void require_raw_updates(UpdateView updates, const char* name) {
+  for (const ModelUpdateMsg* u : updates)
+    DINAR_CHECK(!u->pre_weighted,
                 name << " cannot score pre-weighted (secure-aggregation) updates; "
                         "client "
-                     << u.client_id << " sent one");
+                     << u->client_id << " sent one");
 }
 
 // Maximal contiguous float range of the arena whose entries share one
@@ -72,20 +74,61 @@ std::vector<Run> runs_of(const nn::LayerIndex& index,
   return runs;
 }
 
-// Squared L2 distance over the scored runs. Double accumulation in
-// ascending arena order — identical to the old per-tensor loop, since runs
-// are merged consecutive entries.
-double scored_sq_distance(std::span<const float> a, std::span<const float> b,
-                          const std::vector<Run>& scored) {
-  double s = 0.0;
+// Squared L2 distances from N arenas `a` to `b` over the scored runs,
+// written to out[0, N). Each distance is its own double sum in ascending
+// arena order — identical to the old per-tensor loop, since runs are
+// merged consecutive entries. The N sums run side by side only so that
+// their add latencies overlap.
+template <std::size_t N>
+void scored_sq_distances(const float* const* a, const float* b,
+                         const std::vector<Run>& scored, double* out) {
+  std::array<double, N> s{};
   for (const Run& run : scored) {
     for (std::int64_t j = run.begin; j < run.end; ++j) {
-      const double d = static_cast<double>(a[static_cast<std::size_t>(j)]) -
-                       static_cast<double>(b[static_cast<std::size_t>(j)]);
-      s += d * d;
+      const double bj = static_cast<double>(b[j]);
+      for (std::size_t k = 0; k < N; ++k) {
+        const double d = static_cast<double>(a[k][j]) - bj;
+        s[k] += d * d;
+      }
     }
   }
-  return s;
+  std::copy(s.begin(), s.end(), out);
+}
+
+// The same for 1 <= lanes <= kLanes arenas.
+constexpr std::size_t kLanes = 4;
+void scored_sq_distances(std::span<const float* const> a, const float* b,
+                         const std::vector<Run>& scored, double* out) {
+  switch (a.size()) {
+    case 1: return scored_sq_distances<1>(a.data(), b, scored, out);
+    case 2: return scored_sq_distances<2>(a.data(), b, scored, out);
+    case 3: return scored_sq_distances<3>(a.data(), b, scored, out);
+    case 4: return scored_sq_distances<4>(a.data(), b, scored, out);
+  }
+  throw Error("scored_sq_distances: " + std::to_string(a.size()) + " lanes");
+}
+
+// Squared scored distance of every update in `updates` to `b`. The updates
+// split into groups of at most kLanes, as many groups as the context has
+// threads (the caller included) when there are few updates, so a handful
+// of long sums spreads over every thread.
+std::vector<double> scored_sq_distances_to(UpdateView updates, std::span<const float> b,
+                                           const std::vector<Run>& scored,
+                                           const ExecutionContext* exec) {
+  const std::size_t n = updates.size();
+  const std::size_t threads = exec != nullptr ? exec->threads() + 1 : 1;
+  const std::size_t group = std::min(kLanes, (n + threads - 1) / threads);
+  std::vector<double> out(n, 0.0);
+  run_range(exec, (n + group - 1) / group, 1, [&](std::int64_t g0, std::int64_t g1) {
+    for (std::size_t i0 = static_cast<std::size_t>(g0) * group;
+         i0 < std::min(n, static_cast<std::size_t>(g1) * group); i0 += group) {
+      std::array<const float*, kLanes> a{};
+      const std::size_t lanes = std::min(group, n - i0);
+      for (std::size_t k = 0; k < lanes; ++k) a[k] = updates[i0 + k]->params.as_span().data();
+      scored_sq_distances({a.data(), lanes}, b.data(), scored, out.data() + i0);
+    }
+  });
+  return out;
 }
 
 // Median of `v`, reordering it in place (even sizes average the two middle
@@ -106,26 +149,19 @@ double median_in_place(std::span<double> v) {
 
 double median_of(std::vector<double> v) { return median_in_place(v); }
 
-double total_weight(std::span<const ModelUpdateMsg> updates,
-                    const std::vector<std::size_t>& members) {
+double total_weight(UpdateView updates, const std::vector<std::size_t>& members) {
   double total = 0.0;
-  for (const std::size_t i : members) total += static_cast<double>(updates[i].num_samples);
+  for (const std::size_t i : members) total += static_cast<double>(updates[i]->num_samples);
   return total;
 }
 
 // Every member's scored-delta L2 norm vs the pre-round global model —
 // `ShardStats`'s norm distribution, and norm_clip's clip input.
-std::vector<double> scored_delta_norms(std::span<const ModelUpdateMsg> updates,
-                                       const nn::FlatParams& global,
+std::vector<double> scored_delta_norms(UpdateView updates, const nn::FlatParams& global,
                                        const std::vector<Run>& scored,
                                        const ExecutionContext* exec) {
-  std::vector<double> norms(updates.size(), 0.0);
-  run_range(exec, updates.size(), 1, [&](std::int64_t i0, std::int64_t i1) {
-    for (std::int64_t i = i0; i < i1; ++i)
-      norms[static_cast<std::size_t>(i)] = std::sqrt(scored_sq_distance(
-          updates[static_cast<std::size_t>(i)].params.as_span(), global.as_span(),
-          scored));
-  });
+  std::vector<double> norms = scored_sq_distances_to(updates, global.as_span(), scored, exec);
+  for (double& v : norms) v = std::sqrt(v);
   return norms;
 }
 
@@ -140,15 +176,14 @@ void set_norm_stats(ShardStats& stats, const std::vector<double>& norms) {
 // accumulated into `out` (caller zeroes the range first). Per coordinate
 // the members accumulate in ascending member order regardless of chunking,
 // so the float sums match the sequential path.
-void weighted_mean_run(std::span<const ModelUpdateMsg> updates,
-                       const std::vector<std::size_t>& members, Run run,
+void weighted_mean_run(UpdateView updates, const std::vector<std::size_t>& members, Run run,
                        std::span<float> out, const ExecutionContext* exec) {
   const double total = total_weight(updates, members);
   run_range(exec, static_cast<std::size_t>(run.numel()), coord_grain(members.size()),
             [&](std::int64_t j0, std::int64_t j1) {
               for (const std::size_t i : members) {
-                const double w = static_cast<double>(updates[i].num_samples) / total;
-                const std::span<const float> vi = updates[i].params.as_span();
+                const double w = static_cast<double>(updates[i]->num_samples) / total;
+                const std::span<const float> vi = updates[i]->params.as_span();
                 for (std::int64_t j = run.begin + j0; j < run.begin + j1; ++j)
                   out[static_cast<std::size_t>(j)] += static_cast<float>(
                       w * static_cast<double>(vi[static_cast<std::size_t>(j)]));
@@ -158,10 +193,10 @@ void weighted_mean_run(std::span<const ModelUpdateMsg> updates,
 
 // Plain FedAvg over a member subset, the whole arena (Krum's final average
 // reduces to this).
-nn::FlatParams weighted_mean_params(std::span<const ModelUpdateMsg> updates,
+nn::FlatParams weighted_mean_params(UpdateView updates,
                                     const std::vector<std::size_t>& members,
                                     const ExecutionContext* exec) {
-  nn::FlatParams out(updates.front().params.index());
+  nn::FlatParams out(updates.front()->params.index());
   weighted_mean_run(updates, members, {0, out.numel()}, out.as_span(), exec);
   return out;
 }
@@ -172,107 +207,51 @@ std::vector<std::size_t> all_indices(std::size_t n) {
   return idx;
 }
 
-// Default streaming adapter: buffers absorbed updates and finalizes through
-// the batch shard_aggregate() over the buffer, in absorb order.
-// Strategies whose statistic needs the whole shard at once (median,
-// trimmed mean, Krum) stream through this adapter.
-class BufferingShardAccumulator final : public ShardAccumulator {
- public:
-  BufferingShardAccumulator(RobustAggregator& owner, const nn::FlatParams& global)
-      : owner_(owner), global_(global) {}
-
-  void absorb(const ModelUpdateMsg& update) override { buffer_.push_back(update); }
-
-  ShardSummary finalize() override {
-    if (buffer_.empty()) return ShardSummary{};
-    return owner_.shard_aggregate(buffer_, global_);
-  }
-
- private:
-  RobustAggregator& owner_;
-  const nn::FlatParams& global_;
-  std::vector<ModelUpdateMsg> buffer_;
-};
-
-// FedAvg as a constant-memory fold, and FedAvg's only implementation:
-// FedAvgAggregator::shard_aggregate runs it over its span. Per coordinate,
-// absorb applies `acc[j] += w_i * v_i[j]` in absorb order, `total` is the
-// double sum of the sample counts in the same order, finalize scales each
-// coordinate once by `1 / total`, and each scored-delta norm is a pure
-// function of (update, global). Loops run inline — absorb is called on the
-// commit thread while the pool is busy with the straggler tail (see the
-// header).
-class StreamingFedAvgAccumulator final : public ShardAccumulator {
- public:
-  StreamingFedAvgAccumulator(const RobustConfig& config, const nn::FlatParams& global)
-      : config_(config), global_(global) {}
-
-  void absorb(const ModelUpdateMsg& update) override {
-    if (stats_.num_updates == 0) {
-      pre_weighted_ = update.pre_weighted;
-      acc_ = nn::FlatParams(update.params.index());
-      // Pre-weighted (secure-aggregation) parameters are masked partial
-      // sums; no meaningful distance to the global exists before
-      // unweighting, so the norm distribution stays zero.
-      if (!pre_weighted_)
-        scored_ = runs_of(*global_.index(),
-                          excluded_mask(config_, global_.index()->num_entries()),
-                          /*excluded=*/false);
-    }
-    const float w = pre_weighted_ ? 1.0f : static_cast<float>(update.num_samples);
-    std::span<float> acc = acc_.as_span();
-    const std::span<const float> v = update.params.as_span();
-    for (std::size_t j = 0; j < acc.size(); ++j) acc[j] += w * v[j];
-    total_ += static_cast<double>(update.num_samples);
-    if (!pre_weighted_)
-      norms_.push_back(std::sqrt(
-          scored_sq_distance(update.params.as_span(), global_.as_span(), scored_)));
-    ++stats_.num_updates;
-  }
-
-  ShardSummary finalize() override {
-    ShardSummary summary;
-    if (stats_.num_updates == 0) return summary;
-    const float inv = static_cast<float>(1.0 / total_);
-    std::span<float> acc = acc_.as_span();
-    for (std::size_t j = 0; j < acc.size(); ++j) acc[j] *= inv;
-    summary.params = std::move(acc_);
-    summary.stats = stats_;
-    summary.stats.num_accepted = stats_.num_updates;
-    summary.stats.weight = total_;
-    if (!pre_weighted_) set_norm_stats(summary.stats, norms_);
-    return summary;
-  }
-
- private:
-  const RobustConfig& config_;
-  const nn::FlatParams& global_;
-  std::vector<Run> scored_;
-  nn::FlatParams acc_;
-  bool pre_weighted_ = false;
-  double total_ = 0.0;
-  std::vector<double> norms_;
-  ShardStats stats_;
-};
-
 // The seed's FedAvg, wrapped in the aggregator interface. The only
 // strategy that accepts pre-weighted updates (it never scores clients).
+// Per coordinate the fold applies `acc[j] += w_i * v_i[j]` in member order
+// (w_i the float sample count, or 1 for pre-weighted parameters), then
+// scales once by `1 / total`, with `total` the double sum of the sample
+// counts in the same order. Coordinate ranges are independent, so the fold
+// runs across the pool and stays bit-identical for any thread count.
 class FedAvgAggregator final : public RobustAggregator {
  public:
   explicit FedAvgAggregator(RobustConfig config) : config_(std::move(config)) {}
   std::string name() const override { return "fedavg"; }
 
-  // The batch pass is the streaming fold over the span, so the two can
-  // never disagree.
-  ShardSummary shard_aggregate(std::span<const ModelUpdateMsg> updates,
-                               const nn::FlatParams& global) override {
-    StreamingFedAvgAccumulator acc(config_, global);
-    for (const ModelUpdateMsg& u : updates) acc.absorb(u);
-    return acc.finalize();
-  }
+  ShardSummary shard_aggregate(UpdateView updates, const nn::FlatParams& global) override {
+    const std::size_t n = updates.size();
+    const bool pre_weighted = updates.front()->pre_weighted;
+    double total = 0.0;
+    for (const ModelUpdateMsg* u : updates) total += static_cast<double>(u->num_samples);
 
-  std::unique_ptr<ShardAccumulator> begin_shard(const nn::FlatParams& global) override {
-    return std::make_unique<StreamingFedAvgAccumulator>(config_, global);
+    ShardSummary summary;
+    summary.params = nn::FlatParams(updates.front()->params.index());
+    const std::span<float> acc = summary.params.as_span();
+    const float inv = static_cast<float>(1.0 / total);
+    run_range(exec_, acc.size(), coord_grain(n), [&](std::int64_t j0, std::int64_t j1) {
+      for (const ModelUpdateMsg* u : updates) {
+        const float w = pre_weighted ? 1.0f : static_cast<float>(u->num_samples);
+        const std::span<const float> v = u->params.as_span();
+        for (std::int64_t j = j0; j < j1; ++j)
+          acc[static_cast<std::size_t>(j)] += w * v[static_cast<std::size_t>(j)];
+      }
+      for (std::int64_t j = j0; j < j1; ++j) acc[static_cast<std::size_t>(j)] *= inv;
+    });
+
+    summary.stats.num_updates = n;
+    summary.stats.num_accepted = n;
+    summary.stats.weight = total;
+    // Pre-weighted (secure-aggregation) parameters are masked partial sums;
+    // no meaningful distance to the global exists before unweighting, so
+    // the norm distribution stays zero.
+    if (!pre_weighted) {
+      const std::vector<Run> scored =
+          runs_of(*global.index(), excluded_mask(config_, global.index()->num_entries()),
+                  /*excluded=*/false);
+      set_norm_stats(summary.stats, scored_delta_norms(updates, global, scored, exec_));
+    }
+    return summary;
   }
 
  private:
@@ -285,27 +264,22 @@ class CoordinateWiseAggregator : public RobustAggregator {
  public:
   explicit CoordinateWiseAggregator(RobustConfig config) : config_(std::move(config)) {}
 
-  ShardSummary shard_aggregate(std::span<const ModelUpdateMsg> updates,
-                               const nn::FlatParams& global) override {
+  ShardSummary shard_aggregate(UpdateView updates, const nn::FlatParams& global) override {
     require_raw_updates(updates, name().c_str());
     const std::size_t n = updates.size();
-    const auto& index = *updates.front().params.index();
+    const auto& index = *updates.front()->params.index();
     const std::vector<bool> excluded = excluded_mask(config_, index.num_entries());
     const std::vector<Run> scored = runs_of(index, excluded, /*excluded=*/false);
     const std::vector<Run> obfuscated = runs_of(index, excluded, /*excluded=*/true);
 
     ShardSummary summary;
     std::vector<std::size_t> survivors = all_indices(n);
+    nn::FlatParams center;
     if (n >= 3) {
-      nn::FlatParams center(updates.front().params.index());
+      center = nn::FlatParams(updates.front()->params.index());
       coordinate_median_runs(updates, survivors, scored, center.as_span(), exec_);
-      std::vector<double> dist(n, 0.0);
-      run_range(exec_, n, 1, [&](std::int64_t i0, std::int64_t i1) {
-        for (std::int64_t i = i0; i < i1; ++i)
-          dist[static_cast<std::size_t>(i)] = std::sqrt(scored_sq_distance(
-              updates[static_cast<std::size_t>(i)].params.as_span(),
-              center.as_span(), scored));
-      });
+      std::vector<double> dist = scored_sq_distances_to(updates, center.as_span(), scored, exec_);
+      for (double& v : dist) v = std::sqrt(v);
       const double med = median_of(dist);
       const double threshold = config_.outlier_threshold * med;
       survivors.clear();
@@ -314,7 +288,7 @@ class CoordinateWiseAggregator : public RobustAggregator {
           std::ostringstream os;
           os << name() << "-outlier: distance to coordinate-wise median " << dist[i]
              << " exceeds " << config_.outlier_threshold << " x median distance " << med;
-          summary.flags.push_back({updates[i].client_id, os.str(), /*excluded=*/true});
+          summary.flags.push_back({updates[i]->client_id, os.str(), /*excluded=*/true});
         } else {
           survivors.push_back(i);
         }
@@ -323,9 +297,16 @@ class CoordinateWiseAggregator : public RobustAggregator {
       // `survivors` is never empty here.
     }
 
-    summary.params = nn::FlatParams(updates.front().params.index());
-    for (const Run& run : scored)
-      robust_statistic_run(updates, survivors, run, summary.params.as_span());
+    if (survivors.size() == n && !center.empty() && statistic_is_center()) {
+      // The screen kept every member, so the statistic over the same
+      // members in the same order is the screen's center, bit for bit;
+      // its obfuscated runs are still zero, ready for the average below.
+      summary.params = std::move(center);
+    } else {
+      summary.params = nn::FlatParams(updates.front()->params.index());
+      for (const Run& run : scored)
+        robust_statistic_run(updates, survivors, run, summary.params.as_span());
+    }
     for (const Run& run : obfuscated) {
       // Obfuscation noise: a robust statistic is meaningless, a plain
       // average keeps the broadcast well-formed.
@@ -343,11 +324,15 @@ class CoordinateWiseAggregator : public RobustAggregator {
  protected:
   // Per-coordinate robust statistic over the surviving clients, written
   // into the run's slice of the (zero-initialized) output arena.
-  virtual void robust_statistic_run(std::span<const ModelUpdateMsg> updates,
+  virtual void robust_statistic_run(UpdateView updates,
                                     const std::vector<std::size_t>& members, Run run,
                                     std::span<float> out) const = 0;
 
-  static void coordinate_median_runs(std::span<const ModelUpdateMsg> updates,
+  // True when the statistic over all members is the screen's center (the
+  // coordinate-wise median), which then needs no second pass.
+  virtual bool statistic_is_center() const { return false; }
+
+  static void coordinate_median_runs(UpdateView updates,
                                      const std::vector<std::size_t>& members,
                                      const std::vector<Run>& runs,
                                      std::span<float> out,
@@ -361,7 +346,7 @@ class CoordinateWiseAggregator : public RobustAggregator {
                     column.clear();
                     for (const std::size_t i : members)
                       column.push_back(static_cast<double>(
-                          updates[i].params.as_span()[static_cast<std::size_t>(j)]));
+                          updates[i]->params.as_span()[static_cast<std::size_t>(j)]));
                     out[static_cast<std::size_t>(j)] =
                         static_cast<float>(median_in_place(column));
                   }
@@ -378,11 +363,11 @@ class MedianAggregator final : public CoordinateWiseAggregator {
   std::string name() const override { return "median"; }
 
  protected:
-  void robust_statistic_run(std::span<const ModelUpdateMsg> updates,
-                            const std::vector<std::size_t>& members, Run run,
-                            std::span<float> out) const override {
+  void robust_statistic_run(UpdateView updates, const std::vector<std::size_t>& members,
+                            Run run, std::span<float> out) const override {
     coordinate_median_runs(updates, members, {run}, out, exec_);
   }
+  bool statistic_is_center() const override { return true; }
 };
 
 class TrimmedMeanAggregator final : public CoordinateWiseAggregator {
@@ -391,9 +376,8 @@ class TrimmedMeanAggregator final : public CoordinateWiseAggregator {
   std::string name() const override { return "trimmed_mean"; }
 
  protected:
-  void robust_statistic_run(std::span<const ModelUpdateMsg> updates,
-                            const std::vector<std::size_t>& members, Run run,
-                            std::span<float> out) const override {
+  void robust_statistic_run(UpdateView updates, const std::vector<std::size_t>& members,
+                            Run run, std::span<float> out) const override {
     const std::size_t m = members.size();
     const std::size_t k = std::min(
         static_cast<std::size_t>(config_.trim_fraction * static_cast<double>(m)),
@@ -404,7 +388,7 @@ class TrimmedMeanAggregator final : public CoordinateWiseAggregator {
                 for (std::int64_t j = run.begin + j0; j < run.begin + j1; ++j) {
                   for (std::size_t c = 0; c < m; ++c)
                     column[c] = static_cast<double>(
-                        updates[members[c]].params.as_span()[static_cast<std::size_t>(j)]);
+                        updates[members[c]]->params.as_span()[static_cast<std::size_t>(j)]);
                   std::sort(column.begin(), column.end());
                   double sum = 0.0;
                   for (std::size_t c = k; c < m - k; ++c) sum += column[c];
@@ -424,8 +408,7 @@ class NormClipAggregator final : public RobustAggregator {
   explicit NormClipAggregator(RobustConfig config) : config_(std::move(config)) {}
   std::string name() const override { return "norm_clip"; }
 
-  ShardSummary shard_aggregate(std::span<const ModelUpdateMsg> updates,
-                               const nn::FlatParams& global) override {
+  ShardSummary shard_aggregate(UpdateView updates, const nn::FlatParams& global) override {
     require_raw_updates(updates, "norm_clip");
     const std::size_t n = updates.size();
     const auto& index = *global.index();
@@ -438,7 +421,7 @@ class NormClipAggregator final : public RobustAggregator {
 
     ShardSummary summary;
     double total = 0.0;
-    for (const ModelUpdateMsg& u : updates) total += static_cast<double>(u.num_samples);
+    for (const ModelUpdateMsg* u : updates) total += static_cast<double>(u->num_samples);
 
     std::vector<double> scale(n, 1.0);
     for (std::size_t i = 0; i < n; ++i) {
@@ -446,7 +429,7 @@ class NormClipAggregator final : public RobustAggregator {
         scale[i] = bound / norms[i];
         std::ostringstream os;
         os << "norm-clipped: delta norm " << norms[i] << " -> " << bound;
-        summary.flags.push_back({updates[i].client_id, os.str(), /*excluded=*/false});
+        summary.flags.push_back({updates[i]->client_id, os.str(), /*excluded=*/false});
       }
     }
 
@@ -461,8 +444,8 @@ class NormClipAggregator final : public RobustAggregator {
                 [&](std::int64_t j0, std::int64_t j1) {
                   for (std::size_t i = 0; i < n; ++i) {
                     const double w =
-                        static_cast<double>(updates[i].num_samples) / total * scale[i];
-                    const std::span<const float> vi = updates[i].params.as_span();
+                        static_cast<double>(updates[i]->num_samples) / total * scale[i];
+                    const std::span<const float> vi = updates[i]->params.as_span();
                     for (std::int64_t j = run.begin + j0; j < run.begin + j1; ++j)
                       vo[static_cast<std::size_t>(j)] += static_cast<float>(
                           w * (static_cast<double>(vi[static_cast<std::size_t>(j)]) -
@@ -498,8 +481,7 @@ class KrumAggregator final : public RobustAggregator {
       : config_(std::move(config)), multi_(multi) {}
   std::string name() const override { return multi_ ? "multi_krum" : "krum"; }
 
-  ShardSummary shard_aggregate(std::span<const ModelUpdateMsg> updates,
-                               const nn::FlatParams& global) override {
+  ShardSummary shard_aggregate(UpdateView updates, const nn::FlatParams& global) override {
     require_raw_updates(updates, name().c_str());
     const std::size_t n = updates.size();
     const auto& index = *global.index();
@@ -513,12 +495,17 @@ class KrumAggregator final : public RobustAggregator {
     std::vector<std::vector<double>> d(n, std::vector<double>(n, 0.0));
     // Each task owns whole rows (the upper triangle of them), so no two
     // tasks write the same cell; the mirror fills the lower triangle after.
+    // Row i takes u_j - u_i, the exact negation of u_i - u_j, so every
+    // squared term and sum is the same bits either way round.
     run_range(exec_, n, 1, [&](std::int64_t i0, std::int64_t i1) {
-      for (std::int64_t i = i0; i < i1; ++i)
-        for (std::size_t j = static_cast<std::size_t>(i) + 1; j < n; ++j)
-          d[static_cast<std::size_t>(i)][j] = scored_sq_distance(
-              updates[static_cast<std::size_t>(i)].params.as_span(),
-              updates[j].params.as_span(), scored);
+      for (std::size_t i = static_cast<std::size_t>(i0); i < static_cast<std::size_t>(i1); ++i)
+        for (std::size_t j = i + 1; j < n; j += kLanes) {
+          std::array<const float*, kLanes> a{};
+          const std::size_t lanes = std::min(kLanes, n - j);
+          for (std::size_t k = 0; k < lanes; ++k) a[k] = updates[j + k]->params.as_span().data();
+          scored_sq_distances({a.data(), lanes}, updates[i]->params.as_span().data(), scored,
+                              d[i].data() + j);
+        }
     });
     for (std::size_t i = 0; i < n; ++i)
       for (std::size_t j = i + 1; j < n; ++j) d[j][i] = d[i][j];
@@ -553,7 +540,7 @@ class KrumAggregator final : public RobustAggregator {
         std::ostringstream os;
         os << "krum-rank: " << rank + 1 << "/" << n << " (score " << score
            << ", worst selected " << scored_clients[m - 1].first << ")";
-        summary.flags.push_back({updates[i].client_id, os.str(), /*excluded=*/true});
+        summary.flags.push_back({updates[i]->client_id, os.str(), /*excluded=*/true});
       }
     }
     std::sort(selected.begin(), selected.end());
@@ -626,15 +613,13 @@ RobustAggregateResult RobustAggregator::combine(std::span<const ShardSummary> su
   return result;
 }
 
-std::unique_ptr<ShardAccumulator> RobustAggregator::begin_shard(
-    const nn::FlatParams& global) {
-  return std::make_unique<BufferingShardAccumulator>(*this, global);
-}
-
 RobustAggregateResult RobustAggregator::aggregate(std::span<const ModelUpdateMsg> updates,
                                                   const nn::FlatParams& global) {
   DINAR_CHECK(!updates.empty(), "aggregate of an empty cohort");
-  const ShardSummary summary = shard_aggregate(updates, global);
+  std::vector<const ModelUpdateMsg*> members;
+  members.reserve(updates.size());
+  for (const ModelUpdateMsg& u : updates) members.push_back(&u);
+  const ShardSummary summary = shard_aggregate(members, global);
   return combine(std::span<const ShardSummary>(&summary, 1), global);
 }
 

@@ -9,11 +9,15 @@
 //
 // Two-phase interface (hierarchical aggregation, DESIGN.md §12):
 //
-//   shard_aggregate(span<updates>, global) -> ShardSummary
+//   shard_aggregate(view of updates, global) -> ShardSummary
 //       An edge aggregator runs the full robust strategy over one client
 //       shard and emits a compact summary: one aggregate arena, the
 //       per-client flags, and per-shard statistics (accepted / flagged
-//       counts, scored-delta-norm distribution, sample weight).
+//       counts, scored-delta-norm distribution, sample weight). The shard's
+//       members arrive as an UpdateView — pointers to updates the caller
+//       holds, in absorb order — so no update is copied to form a shard.
+//       Every strategy, FedAvg's fold included, runs its coordinate loops
+//       over ranges across the execution context.
 //   combine(span<summaries>, global) -> RobustAggregateResult
 //       The root merges shard summaries with flat chunked loops: the
 //       result is the shard-weight-proportional mean of the shard arenas,
@@ -24,17 +28,10 @@
 //       verbatim, so the single-shard path is bit-identical to the flat
 //       aggregation it replaced.
 //
-//   begin_shard(global) -> ShardAccumulator
-//       Streaming form of the edge phase, the one the server runs
-//       (ShardedAggregationSession, fl/shard.h): one accumulator per shard
-//       absorbs validated updates as they arrive; finalize() emits the
-//       summary shard_aggregate() would have produced for the same updates
-//       in the same order — bit-for-bit. FedAvg's accumulator is its only
-//       implementation (its shard_aggregate folds it over the span); every
-//       other strategy buffers and finalizes through shard_aggregate().
-//
-// aggregate() is the flat convenience over the two phases (one shard =
-// the whole cohort).
+// The server drives both phases through ShardedAggregationSession
+// (fl/shard.h), which holds the absorbed updates and runs shard_aggregate
+// once per non-empty shard at finalize. aggregate() is the flat
+// convenience over the two phases (one shard = the whole cohort).
 //
 // All strategies are *layer-aware*: `RobustConfig::excluded_tensors` names
 // layer-index entry positions (normally the DINAR-obfuscated sensitive
@@ -156,27 +153,10 @@ struct RobustAggregateResult {
   std::vector<AggregatorFlag> flags;
 };
 
-// Incremental edge aggregation (streaming round pipeline, DESIGN.md §13):
-// one accumulator per shard, opened by RobustAggregator::begin_shard()
-// before any update arrives. absorb() folds one validated update into the
-// in-progress shard state as its exchange completes; finalize() (exactly
-// once) emits the same ShardSummary the batch shard_aggregate() would have
-// produced for the absorbed updates in absorb order — that equivalence is
-// the pipeline's bit-identity contract, enforced by the determinism
-// gauntlet. finalize() after zero absorbs returns the empty summary (an
-// empty shard, which combine() skips).
-//
-// absorb() is called from the commit path (one thread, ascending client-id
-// order) and must run its loops inline rather than fanning out across the
-// pool: the pool's queue is full of still-running client exchanges, and an
-// absorb that waited on it would serialize the very tail it exists to
-// overlap. finalize() runs after the fan-out drains and may parallelize.
-class ShardAccumulator {
- public:
-  virtual ~ShardAccumulator() = default;
-  virtual void absorb(const ModelUpdateMsg& update) = 0;
-  virtual ShardSummary finalize() = 0;
-};
+// One shard's members: non-null pointers to updates the caller keeps alive
+// for the call, in absorb order. The order is part of the result (float
+// sums and tie-breaks follow it).
+using UpdateView = std::span<const ModelUpdateMsg* const>;
 
 class RobustAggregator {
  public:
@@ -186,10 +166,10 @@ class RobustAggregator {
   // Phase 1 — edge: aggregates one shard's validated updates (non-empty,
   // structurally consistent with `global`). `global` is the pre-round
   // model — several strategies work on deltas theta_i - global rather than
-  // raw parameters. All loops stream contiguous arena spans; the robust
-  // strategies chunk them across the execution context, FedAvg's fold
-  // runs inline. The caller owns stats.shard_id (left 0 here).
-  virtual ShardSummary shard_aggregate(std::span<const ModelUpdateMsg> updates,
+  // raw parameters. All loops stream contiguous arena spans, chunked over
+  // coordinate (or member) ranges across the execution context. The caller
+  // owns stats.shard_id (left 0 here).
+  virtual ShardSummary shard_aggregate(UpdateView updates,
                                        const nn::FlatParams& global) = 0;
 
   // Phase 2 — root: merges shard summaries into the round's aggregate with
@@ -198,15 +178,6 @@ class RobustAggregator {
   // empty: the caller must carry the previous model forward instead.
   virtual RobustAggregateResult combine(std::span<const ShardSummary> summaries,
                                         const nn::FlatParams& global);
-
-  // Phase 1, streaming form — opens an incremental accumulator for one
-  // shard (see ShardAccumulator above). `global` is the pre-round model
-  // and must stay alive and unmodified until finalize() returns. The
-  // default implementation buffers absorbed updates and finalizes through
-  // shard_aggregate(), so every strategy is streamable (trivially
-  // bit-identical); strategies whose statistic folds update-by-update
-  // override it with a true constant-memory accumulator (FedAvg does).
-  virtual std::unique_ptr<ShardAccumulator> begin_shard(const nn::FlatParams& global);
 
   // Flat convenience: the whole cohort as one shard (shard_aggregate then
   // combine's single-summary copy).

@@ -67,8 +67,9 @@ void FlServer::aggregate(std::span<const ModelUpdateMsg> updates) {
     DINAR_CHECK(u.params.same_layout(global_),
                 "update from client " << u.client_id << " has wrong structure");
   }
+  // The session borrows the caller's updates: no copy for the batch.
   begin_aggregation();
-  for (const ModelUpdateMsg& u : updates) absorb_validated(u);
+  for (const ModelUpdateMsg& u : updates) session_->absorb(u);
   finalize_aggregation();
 }
 
@@ -129,16 +130,21 @@ void FlServer::begin_aggregation() {
   DINAR_CHECK(session_ == nullptr,
               "begin_aggregation with a streaming session already open");
   session_ = std::make_unique<ShardedAggregationSession>(*aggregator_, global_,
-                                                         shard_config_, exec_);
+                                                         shard_config_);
+}
+
+void FlServer::absorb_validated(ModelUpdateMsg&& update) {
+  DINAR_CHECK(session_ != nullptr, "absorb_validated with no open session");
+  ScopedTimer timing(agg_timer_);
+  session_->absorb(std::move(update));
 }
 
 void FlServer::absorb_validated(const ModelUpdateMsg& update) {
-  DINAR_CHECK(session_ != nullptr, "absorb_validated with no open session");
-  ScopedTimer timing(agg_timer_);
-  session_->absorb(update);
+  absorb_validated(ModelUpdateMsg(update));
 }
 
-std::vector<AggregatorFlag> FlServer::finalize_aggregation() {
+std::vector<AggregatorFlag> FlServer::finalize_aggregation(
+    std::vector<ModelUpdateMsg>* updates) {
   DINAR_CHECK(session_ != nullptr, "finalize_aggregation with no open session");
   DINAR_CHECK(session_->absorbed() > 0,
               "finalize_aggregation with no absorbed updates; use "
@@ -148,6 +154,7 @@ std::vector<AggregatorFlag> FlServer::finalize_aggregation() {
   // (every shard empty) must leave the round un-advanced for carry-forward.
   const std::unique_ptr<ShardedAggregationSession> session = std::move(session_);
   HierarchicalResult h = session->finalize();
+  if (updates != nullptr) *updates = session->release_updates();
   defense_->after_aggregate(h.result.params);
   global_ = std::move(h.result.params);
   last_shard_stats_ = std::move(h.shards);

@@ -1,24 +1,24 @@
 // FL server: FedAvg aggregation with a pluggable server-side defense.
 //
-// One aggregation path, the streaming session — begin_aggregation() /
+// One aggregation path, the session — begin_aggregation() /
 // absorb_validated() / finalize_aggregation() — over the hierarchical
 // aggregation tree (set_shards, DESIGN.md §12): the cohort is partitioned
-// into client shards, each shard folds its updates into an accumulator
-// (finalized in parallel under an execution context), and a root combiner
-// merges the shard summaries. The default single-shard tree is
-// bit-identical to flat aggregation. Two ways in:
+// into client shards, the session holds each shard's updates without
+// copying them, finalize runs every shard's strategy across the execution
+// context, and a root combiner merges the shard summaries. The default
+// single-shard tree is bit-identical to flat aggregation. Two ways in:
 //  - the hardened path behind the fault-tolerant round protocol (DESIGN.md
 //    §13): validate_update() checks every incoming update (round match,
 //    structure match against the global model, NaN/Inf scan, positive
 //    sample count, consistent weighting convention, duplicate-client
 //    rejection) so invalid ones are quarantined with a reason instead of
-//    throwing; each accepted update folds into its shard the moment its
+//    throwing; each accepted update moves into the session the moment its
 //    exchange commits, and a round with no quorum carries the previous
 //    global model forward (carry_forward()) as a degraded-but-live round;
 //  - aggregate(): the strict batch entry for trusted in-process
 //    experiments and benches — any malformed update throws before the
-//    session opens, then the batch is absorbed in span order. It gives
-//    the same model as the hardened path over the same updates.
+//    session opens, then the session borrows the batch in span order. It
+//    gives the same model as the hardened path over the same updates.
 //
 // Aggregation itself is pluggable (set_aggregator): the default is the
 // seed's plain FedAvg; Byzantine-robust strategies (coordinate-wise
@@ -101,25 +101,29 @@ class FlServer {
                                 std::optional<bool> weighting) const;
 
   // -- aggregation session (DESIGN.md §12, §13) -----------------------------
-  // Opens an incremental aggregation over the current global model and
-  // shard configuration: one ShardAccumulator per shard. At most one
-  // session may be open, and the global model / shards / aggregator /
-  // execution context must not change while it is. validate_update()
-  // still checks against the current round, which only advances at
-  // finalize.
+  // Opens an aggregation session over the current global model and shard
+  // configuration. At most one session may be open, and the global model /
+  // shards / aggregator / execution context must not change while it is.
+  // validate_update() still checks against the current round, which only
+  // advances at finalize.
   void begin_aggregation();
 
-  // Folds one update the caller has already validated (validate_update
-  // must have accepted it this round) into its shard. Single-threaded,
-  // ascending-commit-order calls only; runs inline on the caller — see
-  // ShardAccumulator for why it must not touch the pool.
+  // Hands one update the caller has already validated (validate_update
+  // must have accepted it this round) to its shard. The rvalue form moves
+  // it in; the lvalue form copies it once. No arithmetic runs here, so the
+  // commit path stays cheap. Single-threaded, ascending-commit-order calls
+  // only.
+  void absorb_validated(ModelUpdateMsg&& update);
   void absorb_validated(const ModelUpdateMsg& update);
 
-  // Closes the shard accumulators, runs the root combine, the defense, and
-  // advances the round. Throws (leaving the session closed and the round
-  // NOT advanced) when every shard stayed empty; requires at least one
-  // absorb. Returns the aggregator's per-client flags.
-  std::vector<AggregatorFlag> finalize_aggregation();
+  // Runs every shard's strategy across the execution context, the root
+  // combine and the defense, and advances the round. Throws (leaving the
+  // session closed and the round NOT advanced) when every shard stayed
+  // empty; requires at least one absorb. Returns the aggregator's
+  // per-client flags; when `updates` is non-null it receives the absorbed
+  // updates, in absorb order.
+  std::vector<AggregatorFlag> finalize_aggregation(
+      std::vector<ModelUpdateMsg>* updates = nullptr);
 
   // Installs a Byzantine-robust aggregation strategy; the default is the
   // seed's plain FedAvg. Takes effect from the next aggregation. The
@@ -146,7 +150,7 @@ class FlServer {
   // Wall-clock breakdown of the most recent aggregation. Timing only — never persisted or compared; feeds the
   // per-phase columns in RoundOutcome::timings.
   struct AggregateTimings {
-    double shard_seconds = 0.0;    // sum over shards: edge absorb+finalize
+    double shard_seconds = 0.0;    // sum over shards: edge passes
     double combine_seconds = 0.0;  // root merge
   };
   const AggregateTimings& last_aggregate_timings() const { return last_timings_; }

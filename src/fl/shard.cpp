@@ -1,9 +1,9 @@
 #include "fl/shard.h"
 
 #include <chrono>
+#include <iterator>
 
 #include "util/error.h"
-#include "util/execution_context.h"
 
 namespace dinar::fl {
 namespace {
@@ -30,56 +30,55 @@ std::uint32_t shard_of(int client_id, const ShardConfig& config) {
 
 ShardedAggregationSession::ShardedAggregationSession(RobustAggregator& aggregator,
                                                      const nn::FlatParams& global,
-                                                     const ShardConfig& config,
-                                                     const ExecutionContext* exec)
-    : aggregator_(aggregator), global_(global), config_(config), exec_(exec) {
+                                                     const ShardConfig& config)
+    : aggregator_(aggregator), global_(global), config_(config) {
   DINAR_CHECK(config_.num_shards >= 1, "shard.num_shards must be >= 1, got "
                                            << config_.num_shards);
-  accumulators_.reserve(config_.num_shards);
-  for (std::size_t s = 0; s < config_.num_shards; ++s)
-    accumulators_.push_back(aggregator_.begin_shard(global_));
-  shard_seconds_.assign(config_.num_shards, 0.0);
+  members_.resize(config_.num_shards);
 }
 
 void ShardedAggregationSession::absorb(const ModelUpdateMsg& update) {
-  const std::uint32_t s = shard_of(update.client_id, config_);
-  const auto t0 = std::chrono::steady_clock::now();
-  accumulators_[s]->absorb(update);
-  shard_seconds_[s] +=
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+  members_[shard_of(update.client_id, config_)].push_back(&update);
   ++absorbed_;
 }
 
-HierarchicalResult ShardedAggregationSession::finalize() {
-  const std::size_t num_shards = accumulators_.size();
-  // Close the accumulators as one task per shard (race-free slots): by the
-  // time finalize runs the round's exchange tasks have drained, so
-  // buffering strategies get the pool for their whole-shard pass. Order
-  // cannot matter — each finalize is a pure function of its own shard's
-  // absorbed sequence. An empty shard's time stays 0.0.
-  std::vector<ShardSummary> summaries(num_shards);
-  const auto close = [&](std::size_t s) {
-    const auto t0 = std::chrono::steady_clock::now();
-    ShardSummary summary = accumulators_[s]->finalize();
-    summary.stats.shard_id = static_cast<std::uint32_t>(s);
-    summaries[s] = std::move(summary);
-    if (!summaries[s].empty())
-      shard_seconds_[s] +=
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-  };
-  if (exec_ != nullptr)
-    exec_->for_each_task(num_shards, close);
-  else
-    for (std::size_t s = 0; s < num_shards; ++s) close(s);
+void ShardedAggregationSession::absorb(ModelUpdateMsg&& update) {
+  owned_.push_back(std::move(update));
+  absorb(static_cast<const ModelUpdateMsg&>(owned_.back()));
+}
 
+HierarchicalResult ShardedAggregationSession::finalize() {
+  const std::size_t num_shards = members_.size();
+  // One shard at a time, each across the whole pool: the shard's strategy
+  // chunks its own loops, so uneven shards leave no thread idle. An empty
+  // shard keeps the empty summary and a time of 0.0.
   HierarchicalResult out;
+  out.shard_seconds.assign(num_shards, 0.0);
+  std::vector<ShardSummary> summaries(num_shards);
+  for (std::size_t s = 0; s < num_shards; ++s) {
+    if (!members_[s].empty()) {
+      const auto t0 = std::chrono::steady_clock::now();
+      summaries[s] = aggregator_.shard_aggregate(members_[s], global_);
+      out.shard_seconds[s] =
+          std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+    }
+    summaries[s].stats.shard_id = static_cast<std::uint32_t>(s);
+  }
+
   const auto c0 = std::chrono::steady_clock::now();
   out.result = aggregator_.combine(summaries, global_);
   out.combine_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - c0).count();
   out.shards.reserve(num_shards);
   for (const ShardSummary& s : summaries) out.shards.push_back(s.stats);
-  out.shard_seconds = std::move(shard_seconds_);
+  return out;
+}
+
+std::vector<ModelUpdateMsg> ShardedAggregationSession::release_updates() {
+  for (std::vector<const ModelUpdateMsg*>& m : members_) m.clear();
+  std::vector<ModelUpdateMsg> out(std::make_move_iterator(owned_.begin()),
+                                  std::make_move_iterator(owned_.end()));
+  owned_.clear();
   return out;
 }
 

@@ -324,7 +324,6 @@ struct FederatedSimulation::RoundState {
   nn::FlatParams update_reference;
   const nn::FlatParams* update_ref = nullptr;
 
-  std::vector<ModelUpdateMsg> accepted;
   std::unordered_set<int> accepted_ids;
   std::optional<bool> weighting;
   // Last failure mode per still-pending client: 'd' = no intact broadcast,
@@ -335,6 +334,9 @@ struct FederatedSimulation::RoundState {
 };
 
 const RoundOutcome& FederatedSimulation::run_round() {
+  // The previous round's uploads are dropped before this round's arrive,
+  // so at most one round of accepted updates is ever held.
+  last_updates_.clear();
   RoundState st = select_round();
   prepare_downlink(st);
   run_exchanges(st);
@@ -426,9 +428,9 @@ void FederatedSimulation::prepare_downlink(RoundState& st) {
 }
 
 void FederatedSimulation::run_exchanges(RoundState& st) {
-  // The streaming engine opens the shard accumulators up front so every
-  // accepted update can fold in at commit time; validate_update still
-  // checks the current round, which only advances at finalize.
+  // The session opens up front so every accepted update can move in at
+  // commit time; validate_update still checks the current round, which
+  // only advances at finalize.
   server_->begin_aggregation();
 
   const double round_start_clock = transport_->stats().simulated_latency_seconds;
@@ -446,7 +448,7 @@ void FederatedSimulation::run_exchanges(RoundState& st) {
             [&](std::size_t idx) { exchange_task(st, st.pending[idx], exchanges[idx]); },
             [&](std::size_t idx) { commit_exchange(st, st.pending[idx], exchanges[idx]); });
     st.pending = std::move(st.still_pending);
-    if (st.accepted.size() >= st.quorum) break;
+    if (st.out.accepted.size() >= st.quorum) break;
     if (config_.round_deadline_seconds > 0.0 &&
         transport_->stats().simulated_latency_seconds - round_start_clock >=
             config_.round_deadline_seconds)
@@ -562,10 +564,10 @@ void FederatedSimulation::commit_exchange(RoundState& st, std::size_t i, Exchang
     if (verdict.accepted) {
       st.weighting = arrival.msg.pre_weighted;
       st.accepted_ids.insert(arrival.msg.client_id);
-      // The update folds into its shard's accumulator now, while later
-      // clients' exchanges are still in flight.
-      server_->absorb_validated(arrival.msg);
-      st.accepted.push_back(std::move(arrival.msg));
+      out.accepted.push_back(arrival.msg.client_id);
+      // The session takes the update over; finalize hands it back as
+      // last_updates_, so it is never copied.
+      server_->absorb_validated(std::move(arrival.msg));
       update_accepted = true;
     } else {
       out.quarantined.push_back({id, verdict.detail});
@@ -589,25 +591,22 @@ void FederatedSimulation::finalize_round(RoundState& st) {
     // 'q': already listed under quarantined.
   }
 
-  out.accepted.reserve(st.accepted.size());
-  for (const ModelUpdateMsg& u : st.accepted) out.accepted.push_back(u.client_id);
-  out.quorum_met = !st.accepted.empty() && st.accepted.size() >= st.quorum;
+  out.quorum_met = !out.accepted.empty() && out.accepted.size() >= st.quorum;
   if (out.quorum_met) {
-    // Every accepted update was absorbed at commit time; finalize closes
-    // the shard accumulators and runs the root combine.
-    out.aggregator_flags = server_->finalize_aggregation();
+    // Every accepted update moved into the session at commit time;
+    // finalize aggregates each shard across the pool, runs the root
+    // combine and hands the updates back.
+    out.aggregator_flags = server_->finalize_aggregation(&last_updates_);
     out.shards = server_->last_shard_stats();
     out.timings.shard_seconds = server_->last_aggregate_timings().shard_seconds;
     out.timings.combine_seconds = server_->last_aggregate_timings().combine_seconds;
-    last_updates_ = std::move(st.accepted);
   } else {
     // Degraded-but-live round: no quorum of valid updates arrived within
     // the retry budget, so the previous global model survives unchanged.
     // carry_forward also abandons the streaming session's absorbed state.
     server_->carry_forward();
     out.carried_forward = true;
-    last_updates_.clear();
-    DINAR_INFO << "round " << st.round << " carried forward: " << st.accepted.size()
+    DINAR_INFO << "round " << st.round << " carried forward: " << out.accepted.size()
                << "/" << st.quorum << " valid updates after " << out.retries_used
                << " retries";
   }

@@ -45,8 +45,8 @@
 //
 // Round pipelining (DESIGN.md §13): the streaming round engine (the only
 // schedule; no config field or environment pin selects it) commits each
-// exchange the moment it completes — validating the update and folding it
-// into its shard's in-progress accumulator while slower clients are still
+// exchange the moment it completes — validating the update and moving it
+// into the server's aggregation session while slower clients are still
 // running — and overlaps the next round's broadcast serialization with the WAL
 // commit. Commit order, not compute order, fixes every result, so runs are
 // bit-identical for any thread count; the determinism gauntlet enforces it.
@@ -205,7 +205,7 @@ struct RoundPhaseTimings {
   double train_seconds = 0.0;     // local training + attack payload crafting
   double uplink_seconds = 0.0;    // update serialize + ship + parse (task side)
   double validate_seconds = 0.0;  // server-side validation of arrivals
-  double shard_seconds = 0.0;     // edge aggregation (absorb + finalize)
+  double shard_seconds = 0.0;     // edge aggregation (every shard's pass)
   double combine_seconds = 0.0;   // root merge of the shard summaries
   double commit_seconds = 0.0;    // transport commit + accounting + WAL + snapshot
   double round_seconds = 0.0;     // whole-round wall-clock
@@ -411,6 +411,9 @@ class FederatedSimulation {
   std::unique_ptr<FlServer> server_;
   std::unique_ptr<AdversaryEngine> adversary_;
   std::vector<FlClient> clients_;
+  // The last aggregated round's accepted uploads, handed back by the
+  // server's session after finalize (never copied); cleared when the next
+  // round starts.
   std::vector<ModelUpdateMsg> last_updates_;
   std::vector<RoundRecord> history_;
   std::vector<RoundOutcome> round_log_;

@@ -23,11 +23,12 @@ void ExecutionContext::parallel_for(
     fn(0, n);
     return;
   }
-  // Contiguous disjoint chunks; the chunk count only affects scheduling,
-  // never results (see determinism contract in the header).
+  // Contiguous disjoint chunks, one per worker plus one for the caller;
+  // the chunk count only affects scheduling, never results (see the
+  // determinism contract in the header).
   const std::int64_t max_chunks = (n + min_chunk - 1) / min_chunk;
   const std::int64_t chunks =
-      std::min<std::int64_t>(max_chunks, static_cast<std::int64_t>(threads_));
+      std::min<std::int64_t>(max_chunks, static_cast<std::int64_t>(threads_) + 1);
   const std::int64_t chunk = (n + chunks - 1) / chunks;
   pool_->parallel_for(static_cast<std::size_t>(chunks), [&](std::size_t c) {
     const std::int64_t begin = static_cast<std::int64_t>(c) * chunk;

@@ -9,7 +9,8 @@
 // received a pointer or runs sequentially.
 //
 // Determinism contract: parallel_for splits [0, n) into contiguous,
-// disjoint chunks. A kernel whose writes are disjoint per index (every
+// disjoint chunks; which thread runs a chunk (a pool worker or the caller)
+// is scheduling only. A kernel whose writes are disjoint per index (every
 // output element is produced entirely by one chunk, with a fixed internal
 // reduction order) therefore produces bit-identical results for every
 // thread count, including 1. All tensor kernels in this repo are written to
@@ -45,20 +46,21 @@ class ExecutionContext {
   unsigned threads() const { return threads_; }
   bool parallel() const { return threads_ > 1; }
 
-  // Splits [0, n) into contiguous chunks of at least max(grain,
-  // config().grain) indices and runs fn(begin, end) across the pool,
-  // waiting for completion. Runs inline when sequential, when the range is
-  // a single chunk, or when called from a pool worker (nested parallelism
-  // degrades to sequential instead of deadlocking). The lowest-index
-  // chunk's exception is rethrown.
+  // Splits [0, n) into at most threads() + 1 contiguous chunks of at least
+  // max(grain, config().grain) indices and runs fn(begin, end) across the
+  // pool and the calling thread (ThreadPool::parallel_for), returning when
+  // every chunk has finished. Runs inline when sequential, when the range
+  // is a single chunk, or when called from a pool worker or a WorkerScope
+  // (nested parallelism degrades to sequential instead of deadlocking).
+  // The lowest-index chunk's exception is rethrown.
   void parallel_for(std::int64_t n,
                     const std::function<void(std::int64_t, std::int64_t)>& fn,
                     std::size_t grain = 0) const;
 
-  // Runs fn(i) for each i in [0, n), one pool task per index — the
-  // round-level granularity where each task is one client's whole
-  // exchange. Same inline/nesting rules as parallel_for; the lowest-index
-  // exception is rethrown.
+  // Runs fn(i) for each i in [0, n), claimed one index at a time by the
+  // pool and the calling thread — the granularity where each index is a
+  // whole unit of work (one client's evaluation). Same inline/nesting rules
+  // as parallel_for; the lowest-index exception is rethrown.
   void for_each_task(std::size_t n, const std::function<void(std::size_t)>& fn) const;
 
   // Schedules one task on the pool and returns a future for its

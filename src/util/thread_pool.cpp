@@ -1,6 +1,8 @@
 #include "util/thread_pool.h"
 
 #include <algorithm>
+#include <atomic>
+#include <memory>
 
 namespace dinar {
 namespace {
@@ -59,40 +61,57 @@ std::future<void> ThreadPool::submit(std::function<void()> fn) {
 
 void ThreadPool::parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn) {
   if (n == 0) return;
-  // Completion state: a counter the caller waits on, plus one exception
-  // slot per index so errors survive the task's stack unwinding and are
-  // rethrown deterministically (lowest index first). It lives in the
-  // caller's frame, which outlives every task (the caller waits for the
-  // last one, and a task touches nothing after its final unlock), so every
-  // captured exception is released on this thread, never on a worker
-  // racing the caller's reads of the surfaced one.
+  // Completion state, shared with the helper tasks: indices are claimed
+  // from `next`, and each finished index stores its exception slot under
+  // `mu`. A helper that claims an index at or past n returns without
+  // touching `fn` or this frame, so the caller returns once every index has
+  // finished, whether or not every helper has started. A claimed index
+  // keeps the caller waiting until it finishes, so `fn` outlives every
+  // call of it.
   struct Sync {
+    Sync(std::size_t count, const std::function<void(std::size_t)>& body)
+        : n(count), fn(&body), errors(count) {}
+    const std::size_t n;
+    const std::function<void(std::size_t)>* fn;
+    std::atomic<std::size_t> next{0};
     std::mutex mu;
     std::condition_variable done;
-    std::size_t remaining;
+    std::size_t finished = 0;
     std::vector<std::exception_ptr> errors;
   };
-  Sync sync;
-  sync.remaining = n;
-  sync.errors.resize(n);
-
-  for (std::size_t i = 0; i < n; ++i) {
-    enqueue([&sync, &fn, i] {
+  const auto drain = [](Sync& s) {
+    for (std::size_t i = s.next.fetch_add(1); i < s.n; i = s.next.fetch_add(1)) {
       std::exception_ptr err;
       try {
-        fn(i);
+        (*s.fn)(i);
       } catch (...) {
         err = std::current_exception();
       }
-      std::lock_guard<std::mutex> lock(sync.mu);
-      sync.errors[i] = std::move(err);
-      if (--sync.remaining == 0) sync.done.notify_all();
-    });
+      std::lock_guard<std::mutex> lock(s.mu);
+      s.errors[i] = std::move(err);
+      if (++s.finished == s.n) s.done.notify_all();
+    }
+  };
+  const auto sync = std::make_shared<Sync>(n, fn);
+  const std::size_t helpers = std::min(n - 1, workers_.size());
+  for (std::size_t h = 0; h < helpers; ++h) enqueue([sync, drain] { drain(*sync); });
+  {
+    // The caller claims indices too; its nested sections run inline, as
+    // on a worker.
+    const WorkerScope as_worker;
+    drain(*sync);
   }
-
-  std::unique_lock<std::mutex> lock(sync.mu);
-  sync.done.wait(lock, [&] { return sync.remaining == 0; });
-  for (const std::exception_ptr& e : sync.errors)
+  std::vector<std::exception_ptr> errors;
+  {
+    std::unique_lock<std::mutex> lock(sync->mu);
+    sync->done.wait(lock, [&] { return sync->finished == n; });
+    // Taken out under the lock: a late helper may drop the last reference
+    // to `sync`, and every captured exception must be released on this
+    // thread, never on a worker racing the caller's reads of the surfaced
+    // one.
+    errors = std::move(sync->errors);
+  }
+  for (const std::exception_ptr& e : errors)
     if (e) std::rethrow_exception(e);
 }
 

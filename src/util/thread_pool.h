@@ -2,8 +2,9 @@
 //
 // The parallel execution engine (util/execution_context.h) wraps this pool;
 // nothing else should reach it directly. Each FL client task carries its
-// own Rng stream so results are identical regardless of scheduling. On a
-// single-core host the pool degrades to sequential execution.
+// own Rng stream so results are identical regardless of scheduling. The
+// thread that opens a parallel_for works on it too, so a pool of W workers
+// runs a fan-out on W + 1 threads.
 #pragma once
 
 #include <condition_variable>
@@ -54,10 +55,17 @@ class ThreadPool {
   // Schedules `fn` and returns a future for its completion/exception.
   std::future<void> submit(std::function<void()> fn);
 
-  // Runs fn(i) for i in [0, n) across the pool and waits. Worker exceptions
-  // are captured per index and the lowest-index one is rethrown on the
-  // caller's thread, so the error surfaced is deterministic — not whichever
-  // task happened to fail first under this schedule.
+  // Runs fn(i) for i in [0, n) across the pool and the calling thread, and
+  // returns when every index has finished. Up to min(n - 1, size()) helper
+  // tasks and the caller claim indices one at a time; the caller runs its
+  // claims under a WorkerScope, so their nested sections run inline. The
+  // call never waits for a helper that has not started: a late helper finds
+  // no index left and returns without touching fn. So a saturated pool
+  // (every worker busy) degrades to the caller running every index.
+  // Exceptions are captured per index and the lowest-index one is rethrown
+  // on the caller's thread, whichever thread ran it, so the error surfaced
+  // is deterministic — not whichever task happened to fail first under this
+  // schedule.
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
 
  private:

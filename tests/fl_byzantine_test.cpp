@@ -164,6 +164,63 @@ TEST(RobustAggregatorTest, MedianIsBitEqualToThePerCoordinateOracle) {
   }
 }
 
+// The median after the outlier screen: with no member excluded the
+// statistic is the screen's own center, and with some excluded it must be
+// the median over the survivors only. Both bit-equal the oracle, at a null
+// context and at 2 and 4 threads.
+TEST(RobustAggregatorTest, ScreenedMedianIsBitEqualToTheOracleOverSurvivors) {
+  RobustConfig cfg;
+  cfg.method = "median";
+  ExecConfig two_cfg;
+  two_cfg.threads = 2;
+  const ExecutionContext two(two_cfg);
+  ExecConfig four_cfg;
+  four_cfg.threads = 4;
+  const ExecutionContext four(four_cfg);
+  // (members, outliers): the last `outliers` members sit far from the rest.
+  const std::vector<std::pair<std::size_t, std::size_t>> cohorts = {
+      {5, 0}, {6, 0}, {5, 1}, {6, 1}, {7, 2}, {8, 3}};
+  for (const auto& [members, outliers] : cohorts) {
+    Rng rng(300 + members * 10 + outliers);
+    const std::int64_t n = 1200;
+    std::vector<ModelUpdateMsg> updates(members);
+    for (std::size_t i = 0; i < members; ++i) {
+      const bool outlier = i + outliers >= members;
+      std::vector<float> v(static_cast<std::size_t>(n));
+      for (float& x : v) {
+        const double kind = rng.uniform();
+        x = kind < 0.5 ? static_cast<float>(rng.gaussian())
+            : kind < 0.75 ? std::round(static_cast<float>(rng.gaussian()) * 4.0f) / 4.0f
+                          : (rng.uniform() < 0.5 ? 0.0f : -0.0f);
+        if (outlier) x += 1000.0f;
+      }
+      updates[i].client_id = static_cast<int>(i);
+      updates[i].num_samples = 1 + static_cast<std::int64_t>(i);
+      updates[i].params = nn::FlatParams::from_tensors({Tensor({n}, std::move(v))});
+    }
+    const nn::FlatParams global(updates.front().params.index());
+    const std::size_t survivors = members - outliers;
+    for (const ExecutionContext* ctx : {static_cast<const ExecutionContext*>(nullptr),
+                                        &two, &four}) {
+      auto agg = make_robust_aggregator(cfg);
+      agg->set_execution_context(ctx);
+      const RobustAggregateResult r = agg->aggregate(updates, global);
+      ASSERT_EQ(r.flags.size(), outliers) << members << " members";
+      for (std::size_t i = survivors; i < members; ++i)
+        EXPECT_TRUE(has_excluded(r.flags, static_cast<int>(i)));
+      const std::span<const float> out = r.params.as_span();
+      for (std::size_t j = 0; j < out.size(); ++j) {
+        std::vector<double> column;
+        for (std::size_t i = 0; i < survivors; ++i)
+          column.push_back(static_cast<double>(updates[i].params.as_span()[j]));
+        const float expected = oracle_median(column);
+        ASSERT_EQ(std::bit_cast<std::uint32_t>(out[j]), std::bit_cast<std::uint32_t>(expected))
+            << members << " members, " << outliers << " outliers, coordinate " << j;
+      }
+    }
+  }
+}
+
 TEST(RobustAggregatorTest, TrimmedMeanDropsBothExtremes) {
   RobustConfig cfg;
   cfg.method = "trimmed_mean";

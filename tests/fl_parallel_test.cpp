@@ -4,7 +4,8 @@
 //  - ThreadPool: worker-exception propagation (regression: exceptions used
 //    to strand parallel_for callers);
 //  - ExecutionContext: chunk coverage, inline fallbacks, nested sections,
-//    deterministic lowest-index error surfacing;
+//    deterministic lowest-index error surfacing, and fan-outs that finish
+//    on the calling thread while every worker is busy;
 //  - determinism suite: a federation with faults + Byzantine attackers +
 //    membership churn run sequentially and with a 4-thread context must
 //    produce byte-identical RoundOutcome logs, history records and final
@@ -12,7 +13,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstring>
+#include <future>
+#include <mutex>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
@@ -133,6 +138,130 @@ TEST(ExecutionContextTest, NestedParallelSectionsRunInline) {
     totals[t] = local;
   });
   for (const std::int64_t t : totals) EXPECT_EQ(t, 4950);
+}
+
+// ----------------------------------------------- caller participation --
+
+// Occupies every worker of `exec`'s pool until release(). Each blocker
+// waits on a latch with a bounded wait, so a fan-out that wrongly waits for
+// the workers makes the test fail (the latch times out) instead of hanging.
+class PoolBlocker {
+ public:
+  explicit PoolBlocker(const ExecutionContext& exec) {
+    for (unsigned w = 0; w < exec.threads(); ++w)
+      blockers_.push_back(exec.submit([this] {
+        std::unique_lock<std::mutex> lock(mu_);
+        ++started_;
+        cv_.notify_all();
+        if (!cv_.wait_for(lock, std::chrono::seconds(20), [this] { return released_; }))
+          timed_out_ = true;
+      }));
+    std::unique_lock<std::mutex> lock(mu_);
+    all_started_ = cv_.wait_for(lock, std::chrono::seconds(20),
+                                [&] { return started_ == exec.threads(); });
+  }
+  ~PoolBlocker() { release(); }
+
+  bool all_started() const { return all_started_; }
+
+  // Opens the latch and waits for the blockers; true iff they were still
+  // held when it opened.
+  bool release() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      released_ = true;
+    }
+    cv_.notify_all();
+    for (std::future<void>& f : blockers_)
+      if (f.valid()) f.get();
+    std::lock_guard<std::mutex> lock(mu_);
+    return !timed_out_;
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  unsigned started_ = 0;
+  bool released_ = false;
+  bool timed_out_ = false;
+  bool all_started_ = false;
+  std::vector<std::future<void>> blockers_;
+};
+
+TEST(ExecutionContextTest, FanOutsFinishWhileEveryWorkerIsBlocked) {
+  ExecConfig cfg;
+  cfg.threads = 3;
+  ExecutionContext exec(cfg);
+  PoolBlocker blocker(exec);
+  ASSERT_TRUE(blocker.all_started());
+
+  // The caller runs every index itself; the helper tasks still queued
+  // behind the blockers find nothing left when they start.
+  std::vector<std::atomic<int>> hits(1000);
+  exec.parallel_for(
+      1000,
+      [&](std::int64_t i0, std::int64_t i1) {
+        for (std::int64_t i = i0; i < i1; ++i) hits[static_cast<std::size_t>(i)] += 1;
+      },
+      /*grain=*/1);
+  std::vector<std::atomic<int>> tasks(16);
+  exec.for_each_task(16, [&](std::size_t i) { tasks[i] += 1; });
+
+  EXPECT_TRUE(blocker.release()) << "a fan-out waited for the blocked workers";
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+  for (const auto& t : tasks) EXPECT_EQ(t.load(), 1);
+}
+
+TEST(ExecutionContextTest, EveryIndexRunsOnceWithTheCallerJoining) {
+  ExecConfig cfg;
+  cfg.threads = 2;
+  ExecutionContext exec(cfg);
+  for (int pass = 0; pass < 50; ++pass) {
+    std::vector<std::atomic<int>> hits(37);
+    exec.for_each_task(37, [&](std::size_t i) { hits[i] += 1; });
+    std::vector<std::atomic<int>> coords(301);
+    exec.parallel_for(
+        301,
+        [&](std::int64_t i0, std::int64_t i1) {
+          for (std::int64_t i = i0; i < i1; ++i) coords[static_cast<std::size_t>(i)] += 1;
+        },
+        /*grain=*/1);
+    for (const auto& h : hits) ASSERT_EQ(h.load(), 1) << "pass " << pass;
+    for (const auto& c : coords) ASSERT_EQ(c.load(), 1) << "pass " << pass;
+  }
+}
+
+TEST(ExecutionContextTest, LowestIndexExceptionWinsWhenTheCallerRanIt) {
+  ExecConfig cfg;
+  cfg.threads = 2;
+  ExecutionContext exec(cfg);
+  PoolBlocker blocker(exec);
+  ASSERT_TRUE(blocker.all_started());
+  // With every worker blocked the caller runs every index, index 0
+  // included; every index still runs and index 0's error surfaces.
+  std::atomic<int> ran{0};
+  try {
+    exec.for_each_task(8, [&](std::size_t i) {
+      ++ran;
+      throw std::runtime_error("task " + std::to_string(i));
+    });
+    FAIL() << "expected an exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "task 0");
+  }
+  EXPECT_EQ(ran.load(), 8);
+  try {
+    exec.parallel_for(
+        9,
+        [](std::int64_t i0, std::int64_t) {
+          throw std::runtime_error("chunk " + std::to_string(i0));
+        },
+        /*grain=*/1);
+    FAIL() << "expected an exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "chunk 0");
+  }
+  EXPECT_TRUE(blocker.release());
 }
 
 // --------------------------------------------- gemm thread-count identity --

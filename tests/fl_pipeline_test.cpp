@@ -9,7 +9,7 @@
 //    models, durable store state — at 1/2/4 threads, under faults,
 //    Byzantine attackers, churn, sharding and real wall-clock stragglers
 //    parked at the LAST client of each shard (the worst case for the
-//    overlap: every shard's accumulator stays open until its tail lands).
+//    overlap: every shard's member list stays open until its tail lands).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -372,7 +372,7 @@ std::string dump_outcome(const RoundOutcome& o) {
 
 // Faults + a Byzantine attacker + churn + a 3-shard tree, with a real
 // wall-clock straggler parked at the LAST client of every shard: each
-// shard's accumulator stays open until its slowest member lands, the
+// shard's member list stays open until its slowest member lands, the
 // adversarial schedule for the overlap.
 SimulationConfig overlap_config(unsigned threads) {
   SimulationConfig cfg;
@@ -536,9 +536,8 @@ TEST(PipelineSimTest, DurableStoreBytesMatchAcrossThreadCountsAndRecover) {
 }
 
 TEST(PipelineSimTest, FedAvgStreamingAccumulatorMatchesAcrossThreadCounts) {
-  // overlap_config's "median" closes each shard through the buffering
-  // accumulator; fedavg streams per-coordinate as commits land — cover
-  // that accumulator's bit-identity too.
+  // overlap_config runs "median"; fedavg's fold over coordinate ranges
+  // at finalize needs its own thread-count bit-identity check.
   const auto run = [](unsigned threads) {
     Rng rng(23);
     data::Dataset full = make_easy_dataset(192, rng);

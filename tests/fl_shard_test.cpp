@@ -104,7 +104,8 @@ HierarchicalResult run_session(RobustAggregator& agg,
                                const std::vector<ModelUpdateMsg>& updates,
                                const nn::FlatParams& global, const ShardConfig& cfg,
                                const ExecutionContext* exec) {
-  ShardedAggregationSession session(agg, global, cfg, exec);
+  agg.set_execution_context(exec);
+  ShardedAggregationSession session(agg, global, cfg);
   for (const ModelUpdateMsg& u : updates) session.absorb(u);
   return session.finalize();
 }
@@ -534,6 +535,49 @@ TEST(ShardSimulationTest, RoundOutcomesCarryShardStatsAndSurviveSerde) {
     EXPECT_DOUBLE_EQ(back.shards[s].median_norm, out.shards[s].median_norm);
     EXPECT_DOUBLE_EQ(back.shards[s].max_norm, out.shards[s].max_norm);
   }
+}
+
+// The session takes each accepted upload over at commit and hands it back
+// after finalize, so the uploads the server keeps for the attacker views
+// are exactly the accepted ones, bit for bit, with no copy in between. Lost
+// and unselected uploads leave no view behind; under ASan a dangling view
+// of a moved-from or released update would fail here.
+TEST(ShardHierarchyTest, SessionHandsBackExactlyTheAcceptedUploads) {
+  SimulationConfig cfg;
+  cfg.rounds = 4;
+  cfg.train = TrainConfig{1, 32};
+  cfg.learning_rate = 0.05;
+  cfg.seed = 4242;
+  cfg.client_fraction = 0.8;
+  cfg.robust.method = "median";
+  cfg.shard.num_shards = 4;
+  cfg.shard.assignment_seed = kSeed;
+  cfg.faults.drop_up = 0.3;
+  cfg.max_retries = 0;
+  cfg.min_clients = 1;
+  cfg.exec.threads = 2;
+  FederatedSimulation sim(tiny_mlp_factory(2, 2), easy_split(10, 1000, 43), cfg,
+                          DefenseBundle{});
+  bool some_lost = false;
+  for (int r = 0; r < cfg.rounds; ++r) {
+    const RoundOutcome& out = sim.run_round();
+    ASSERT_TRUE(out.quorum_met) << "round " << r;
+    std::vector<std::size_t> accepted(out.accepted.begin(), out.accepted.end());
+    EXPECT_EQ(sim.last_participants(), accepted) << "round " << r;
+    some_lost |= accepted.size() < out.selected.size();
+    for (std::size_t i = 0; i < sim.clients().size(); ++i) {
+      if (std::find(accepted.begin(), accepted.end(), i) == accepted.end()) {
+        EXPECT_THROW(sim.server_view_of_client(i), Error) << "round " << r << " client " << i;
+        continue;
+      }
+      // Without a defense the upload is the client's trained model, which
+      // stays untouched until the next broadcast.
+      nn::Model view = sim.server_view_of_client(i);
+      EXPECT_TRUE(bitwise_equal(view.parameters(), sim.clients()[i].model().parameters()))
+          << "round " << r << " client " << i;
+    }
+  }
+  EXPECT_TRUE(some_lost) << "the drop rate should lose at least one upload";
 }
 
 }  // namespace
