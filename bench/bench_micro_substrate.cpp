@@ -5,6 +5,9 @@
 // suite.
 #include <benchmark/benchmark.h>
 
+#include <chrono>
+#include <utility>
+
 #include "core/obfuscation.h"
 #include "fl/server.h"
 #include "nn/loss.h"
@@ -76,6 +79,47 @@ void BM_VggSmallTrainStep(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 64);
 }
 BENCHMARK(BM_VggSmallTrainStep);
+
+// BM_VggSmallTrainStep split by layer: the training forward (second
+// argument 0) or backward (1) of layer `index` (first argument) alone, on
+// the activation that layer sees in a step and a random gradient of its
+// output's shape. Layer 0's backward is backward_params, as in a step.
+// Inputs are copied outside the timed region, so each row times only the
+// layer's own call, allocations and frees included.
+void BM_VggSmallLayers(benchmark::State& state) {
+  const auto index = static_cast<std::size_t>(state.range(0));
+  const bool backward = state.range(1) != 0;
+  Rng rng(9);
+  nn::Model m = nn::vgg_small_factory(3, 12, 43, 4)(rng);
+  if (index >= m.num_layers()) {
+    state.SkipWithError("no such layer");
+    return;
+  }
+  Tensor x = Tensor::gaussian({64, 3, 12, 12}, rng);
+  for (std::size_t i = 0; i < index; ++i) x = m.layer(i).forward(std::move(x), true);
+  nn::Layer& layer = m.layer(index);
+  const Tensor grad = Tensor::gaussian(layer.forward(x, true).shape(), rng);
+  for (auto _ : state) {
+    Tensor in = backward ? grad : x;
+    const auto start = std::chrono::steady_clock::now();
+    if (!backward) {
+      const Tensor y = layer.forward(std::move(in), true);
+      benchmark::DoNotOptimize(y.data());
+    } else if (index == 0) {
+      layer.backward_params(std::move(in));
+    } else {
+      const Tensor dx = layer.backward(std::move(in));
+      benchmark::DoNotOptimize(dx.data());
+    }
+    benchmark::ClobberMemory();
+    state.SetIterationTime(
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count());
+  }
+  state.SetLabel(layer.name() + (backward ? " backward" : " forward"));
+}
+BENCHMARK(BM_VggSmallLayers)
+    ->ArgsProduct({benchmark::CreateDenseRange(0, 13, 1), {0, 1}})
+    ->UseManualTime();
 
 void BM_ModelUpdateSerde(benchmark::State& state) {
   Rng rng(4);

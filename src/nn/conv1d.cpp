@@ -1,5 +1,7 @@
 #include "nn/conv1d.h"
 
+#include <utility>
+
 #include "util/error.h"
 
 namespace dinar::nn {
@@ -15,7 +17,7 @@ Conv1d::Conv1d(std::int64_t in_channels, std::int64_t out_channels, std::int64_t
   DINAR_CHECK(stride >= 1 && kernel >= 1 && padding >= 0, "invalid conv1d geometry");
 }
 
-Tensor Conv1d::forward(const Tensor& x, bool train) {
+Tensor Conv1d::forward(Tensor x, bool train) {
   DINAR_CHECK(x.rank() == 3 && x.dim(1) == in_ch_,
               name() << " got input " << shape_to_string(x.shape()));
   const std::int64_t b = x.dim(0), l = x.dim(2);
@@ -25,13 +27,12 @@ Tensor Conv1d::forward(const Tensor& x, bool train) {
   // A 1-D convolution is the height-1 case of the 2-D lowering: [B, C, L]
   // is read as [B, C, 1, L] with a (1, K) kernel.
   const ConvShape s{b, in_ch_, 1, l, out_ch_, 1, kernel_, stride_, 0, padding_, 1, ol};
-  float* cols = nullptr;
+  Tensor y({b, out_ch_, ol});
+  conv_forward(s, x.data(), weight_.data(), bias_.data(), y.data(), exec_);
   if (train) {
-    cols = retained_patches(cached_cols_, s);
+    cached_input_ = std::move(x);
     cached_shape_ = s;
   }
-  Tensor y({b, out_ch_, ol});
-  conv_forward(s, x.data(), weight_.data(), bias_.data(), cols, y.data(), exec_);
   return y;
 }
 
@@ -44,16 +45,16 @@ const ConvShape& Conv1d::backward_shape(const Tensor& grad_out) const {
   return s;
 }
 
-Tensor Conv1d::backward(const Tensor& grad_out) {
+Tensor Conv1d::backward(Tensor grad_out) {
   const ConvShape& s = backward_shape(grad_out);
   Tensor dx({s.batch, in_ch_, s.w});
-  conv_backward(s, cached_cols_.data(), weight_.data(), grad_out.data(),
+  conv_backward(s, cached_input_.data(), weight_.data(), grad_out.data(),
                 grad_weight_.data(), grad_bias_.data(), dx.data(), exec_);
   return dx;
 }
 
-void Conv1d::backward_params(const Tensor& grad_out) {
-  conv_backward(backward_shape(grad_out), cached_cols_.data(), weight_.data(),
+void Conv1d::backward_params(Tensor grad_out) {
+  conv_backward(backward_shape(grad_out), cached_input_.data(), weight_.data(),
                 grad_out.data(), grad_weight_.data(), grad_bias_.data(),
                 /*dx=*/nullptr, exec_);
 }

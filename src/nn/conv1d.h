@@ -14,9 +14,9 @@ class Conv1d : public Layer {
   Conv1d(std::int64_t in_channels, std::int64_t out_channels, std::int64_t kernel,
          std::int64_t stride, std::int64_t padding, Rng& rng);
 
-  Tensor forward(const Tensor& x, bool train) override;
-  Tensor backward(const Tensor& grad_out) override;
-  void backward_params(const Tensor& grad_out) override;
+  Tensor forward(Tensor x, bool train) override;
+  Tensor backward(Tensor grad_out) override;
+  void backward_params(Tensor grad_out) override;
   std::string name() const override;
   std::vector<ParamGroup> param_groups() override;
   std::unique_ptr<Layer> clone() const override;
@@ -36,7 +36,7 @@ class Conv1d : public Layer {
   Tensor grad_weight_;
   Tensor grad_bias_;
   std::optional<ConvShape> cached_shape_;  // geometry of the last training forward
-  Tensor cached_cols_;  // its patch matrices (a grow-only prefix), read by backward
+  Tensor cached_input_;                    // its input, read by backward
 };
 
 }  // namespace dinar::nn

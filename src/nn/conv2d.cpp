@@ -1,5 +1,7 @@
 #include "nn/conv2d.h"
 
+#include <utility>
+
 #include "util/error.h"
 
 namespace dinar::nn {
@@ -16,7 +18,7 @@ Conv2d::Conv2d(std::int64_t in_channels, std::int64_t out_channels, std::int64_t
   DINAR_CHECK(stride >= 1 && kernel >= 1 && padding >= 0, "invalid conv2d geometry");
 }
 
-Tensor Conv2d::forward(const Tensor& x, bool train) {
+Tensor Conv2d::forward(Tensor x, bool train) {
   DINAR_CHECK(x.rank() == 4 && x.dim(1) == in_ch_,
               name() << " got input " << shape_to_string(x.shape()));
   const std::int64_t b = x.dim(0), h = x.dim(2), w = x.dim(3);
@@ -25,13 +27,12 @@ Tensor Conv2d::forward(const Tensor& x, bool train) {
 
   const ConvShape s{b, in_ch_, h, w, out_ch_, kernel_, kernel_, stride_,
                     padding_, padding_, oh, ow};
-  float* cols = nullptr;
+  Tensor y({b, out_ch_, oh, ow});
+  conv_forward(s, x.data(), weight_.data(), bias_.data(), y.data(), exec_);
   if (train) {
-    cols = retained_patches(cached_cols_, s);
+    cached_input_ = std::move(x);
     cached_shape_ = s;
   }
-  Tensor y({b, out_ch_, oh, ow});
-  conv_forward(s, x.data(), weight_.data(), bias_.data(), cols, y.data(), exec_);
   return y;
 }
 
@@ -45,16 +46,16 @@ const ConvShape& Conv2d::backward_shape(const Tensor& grad_out) const {
   return s;
 }
 
-Tensor Conv2d::backward(const Tensor& grad_out) {
+Tensor Conv2d::backward(Tensor grad_out) {
   const ConvShape& s = backward_shape(grad_out);
   Tensor dx({s.batch, in_ch_, s.h, s.w});
-  conv_backward(s, cached_cols_.data(), weight_.data(), grad_out.data(),
+  conv_backward(s, cached_input_.data(), weight_.data(), grad_out.data(),
                 grad_weight_.data(), grad_bias_.data(), dx.data(), exec_);
   return dx;
 }
 
-void Conv2d::backward_params(const Tensor& grad_out) {
-  conv_backward(backward_shape(grad_out), cached_cols_.data(), weight_.data(),
+void Conv2d::backward_params(Tensor grad_out) {
+  conv_backward(backward_shape(grad_out), cached_input_.data(), weight_.data(),
                 grad_out.data(), grad_weight_.data(), grad_bias_.data(),
                 /*dx=*/nullptr, exec_);
 }

@@ -1,58 +1,66 @@
-// Cache-resident convolution lowering shared by Conv2d and Conv1d.
+// Implicit-GEMM convolution shared by Conv2d and Conv1d.
 //
-// A convolution is lowered image by image onto the raw-span gemm core
-// (tensor/tensor.h, gemm_into). For image n with P = OH*OW output
-// positions and a patch of CK = C*KH*KW inputs, the patch matrix is stored
-// channel-major, cols_n[CK, P]: row q = (c, ky, kx) holds the input under
-// kernel tap q for every output position. Each input plane is read through
-// a per-thread copy with a zero border of PH rows and PW columns, so every
-// row of cols is OH fixed-length runs of OW floats (contiguous for stride
-// 1) with no bounds arithmetic, and padding reads the border's zeros. Per
-// image:
+// A convolution is lowered image by image onto the packed-operand gemm
+// (tensor/tensor.h, gemm_packed). For image n with P = OH*OW output
+// positions and a patch of CK = C*KH*KW inputs, the patch matrix
+// cols_n[CK, P] has row q = (c, ky, kx) holding the input under kernel tap
+// q at every output position. It is never stored: each image's C planes
+// are copied once into a per-thread buffer with a zero border of PH rows
+// and PW columns, and the gemm's packed panels are written straight from
+// those planes, so padding reads the border's zeros. Per image:
 //
-//   forward   y_n[OC, P]   = W[OC, CK] x cols_n, then + bias in place
-//   weights   dW[OC, CK]  += g_n[OC, P] x cols_n^T   (k = P, resumed)
-//   input     t[CK, P]     = W^T x g_n, then col2im-added into dx_n
+//   forward   y_n[OC, P]   = W[OC, CK] x cols_n, then + bias
+//   weights   dW[OC, CK]  += g[OC, B*P] x cols^T   (one chain over the batch)
+//   input     t[CK, P]     = W^T x g_n, then col2im-written into dx_n
 //
-// g_n is grad_out's image n exactly as stored, and y_n is written straight
-// into the [B, OC, OH, OW] output, so there is no gather or scatter pass.
+// g_n is grad_out's image n exactly as stored.
 //
-// Buffers. Training keeps every image's cols_n in the layer's retained
-// patch buffer ([B, CK, P], reused from step to step) for the weight
-// gradient; an eval forward uses one cols_n-sized per-thread tile instead.
-// The padded plane is per-thread, grows only, and is zeroed by each image
-// that reads it, so a call never sees a border left by a call of another
-// geometry. The input-gradient tile t is per-thread and per-image, so it is
-// scattered into dx while still in L1/L2. The weight gradient accumulates
-// in a [OC, CK] scratch before the single += into the layer's gradient.
+// Packing. The forward's B panels come from the image's planes: with
+// stride 1 the gemm runs over columns q = oy*(W + 2*PW) + ox, so a panel's
+// kGemmNR columns under one tap are one contiguous run of a plane and pack
+// as a single copy. The OW..W+2*PW-1 columns of each output row are
+// computed and dropped (166 columns for 144 positions at 12x12 with
+// padding 1, 46 for 36 at 6x6); the edge panel is padded to the SIMD width
+// like every gemm panel. Other strides
+// gather real positions only. The weight gradient pads the whole batch
+// once, packs grad_out once as the A operand of the logical [OC, B*P]
+// matrix, and each task packs the cols^T panel of its 8 taps from the
+// padded planes. W (and W^T) are packed once per call.
+//
+// Buffers. A layer keeps its training input (moved in, not copied) and
+// nothing else; backward re-reads it. Packed weights, the padded batch and
+// the packed gradient belong to the calling thread; planes, panels and
+// gemm tiles to each task's thread. All are per-thread and only grow, and
+// every user writes what it reads, so a call never sees a border or a panel
+// left by a call of another geometry.
 //
 // Bit-identity with the former [B*OH*OW, CK] lowering (kept in
 // tests/conv_oracle_test.cpp as the oracle). Every output element keeps
 // its IEEE operation sequence:
 //   - forward and input-gradient elements are one gemm chain over the same
-//     operands in the same ascending order; only the operand roles swap,
-//     and a*b (or fma(a, b, acc)) is exactly commutative in a and b;
-//   - dW elements chain over r = (n, oy, ox) in ascending order: each
-//     image's gemm resumes the accumulator the previous image stored, and a
-//     float accumulator survives the round trip through memory exactly;
+//     operands in ascending k; only the operand roles swap, and a*b (or
+//     fma(a, b, acc)) is exactly commutative in a and b. A dropped column
+//     is its own chain and never meets a kept one;
+//   - dW elements chain over r = (n, oy, ox) in ascending order, from +0.0f,
+//     in one gemm call over the batch, exactly the chain of the former
+//     image-by-image resumed calls; the sum is then added to grad_weight;
 //   - col2im visits kernel taps with ky and kx descending, so every dx
 //     element receives its contributions in ascending (oy, ox) order, the
-//     order of the former row-by-row scatter, starting from +0.0f. It adds
-//     through the same padded plane, loaded with dx inside a zero border
-//     and stored back; the padding taps' sums land in the border and are
-//     dropped, as the former kernel skipped them;
-//   - cols holds the same input bits, and +0.0f for every padding tap, as
-//     the former per-row zero fill wrote;
+//     order of the former row-by-row scatter, starting from +0.0f. The
+//     padding taps' sums land in the plane's border and are dropped, as the
+//     former kernel skipped them;
+//   - packed panels hold the same input bits, and +0.0f for every padding
+//     tap, as the former per-row zero fill wrote;
 //   - db sums each channel over ascending (n, oy, ox) into grad_bias;
 //   - bias is added once to the finished dot product, as before.
-// Padding taps are explicit zeros in cols (the products still happen) and
-// discarded border adds in col2im, and no loop branches on a value, so NaN
-// and Inf propagate exactly as in the former kernels.
+// Padding taps are explicit zeros in the panels (the products still
+// happen) and discarded border adds in col2im, and no loop branches on a
+// value, so NaN and Inf propagate exactly as in the former kernels.
 //
 // With an ExecutionContext, forward and the input gradient parallelize
-// over whole images and the weight gradient over disjoint column ranges of
-// dW (each element's chain stays in one task), so results are
-// bit-identical for every thread count.
+// over whole images, the weight gradient over disjoint 8-tap panels of dW
+// and the bias gradient over groups of 8 channels (each element's chain
+// stays in one task), so results are bit-identical for every thread count.
 #pragma once
 
 #include <cstdint>
@@ -74,22 +82,14 @@ struct ConvShape {
   std::int64_t positions() const { return oh * ow; }                 // P
 };
 
-// The training forward's patch storage: grows `buffer` (never shrinks, so a
-// short last batch reuses it without a fill) to hold s.batch patch
-// matrices and returns its data.
-float* retained_patches(Tensor& buffer, const ConvShape& s);
-
-// y[B, OC, OH, OW] = conv(x) + bias, with weight read as [OC, CK]. When
-// `cols` is non-null it receives every image's patch matrix
-// ([B, CK, OH*OW], for conv_backward); otherwise a per-thread tile is used.
+// y[B, OC, OH, OW] = conv(x) + bias, with weight read as [OC, CK].
 void conv_forward(const ConvShape& s, const float* x, const float* weight,
-                  const float* bias, float* cols, float* y,
-                  const ExecutionContext* exec);
+                  const float* bias, float* y, const ExecutionContext* exec);
 
-// Given the patch matrices of the matching training forward, accumulates
-// the weight and bias gradients (+=) and adds the input gradient into dx
-// ([B, C, H, W], zero on entry). A null dx skips the input gradient.
-void conv_backward(const ConvShape& s, const float* cols, const float* weight,
+// Given the forward's input x, accumulates the weight and bias gradients
+// (+=) and writes the input gradient into dx ([B, C, H, W]). A null dx
+// skips the input gradient.
+void conv_backward(const ConvShape& s, const float* x, const float* weight,
                    const float* grad_out, float* grad_weight, float* grad_bias,
                    float* dx, const ExecutionContext* exec);
 

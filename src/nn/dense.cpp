@@ -1,5 +1,7 @@
 #include "nn/dense.h"
 
+#include <utility>
+
 #include "util/error.h"
 
 namespace dinar::nn {
@@ -10,26 +12,28 @@ Dense::Dense(std::int64_t in_features, std::int64_t out_features, Rng& rng)
       bias_(Tensor::kaiming({out_features}, in_features, rng)),
       grad_weight_({in_features, out_features}), grad_bias_({out_features}) {}
 
-Tensor Dense::forward(const Tensor& x, bool train) {
+Tensor Dense::forward(Tensor x, bool train) {
   DINAR_CHECK(x.rank() == 2 && x.dim(1) == in_,
               "Dense(" << in_ << "," << out_ << ") got input "
                        << shape_to_string(x.shape()));
-  if (train) cached_input_ = x;
   Tensor y = gemm(Trans::kN, Trans::kN, x, weight_, exec_);
   const std::int64_t batch = y.dim(0);
   float* py = y.data();
   const float* pb = bias_.data();
   for (std::int64_t i = 0; i < batch; ++i)
     for (std::int64_t j = 0; j < out_; ++j) py[i * out_ + j] += pb[j];
+  if (train) cached_input_ = std::move(x);
   return y;
 }
 
-Tensor Dense::backward(const Tensor& grad_out) {
-  backward_params(grad_out);
+Tensor Dense::backward(Tensor grad_out) {
+  accumulate_param_grads(grad_out);
   return gemm(Trans::kN, Trans::kT, grad_out, weight_, exec_);  // dx = g W^T
 }
 
-void Dense::backward_params(const Tensor& grad_out) {
+void Dense::backward_params(Tensor grad_out) { accumulate_param_grads(grad_out); }
+
+void Dense::accumulate_param_grads(const Tensor& grad_out) {
   DINAR_CHECK(!cached_input_.empty(), "Dense::backward without cached forward");
   DINAR_CHECK(grad_out.rank() == 2 && grad_out.dim(1) == out_,
               "Dense backward shape mismatch");

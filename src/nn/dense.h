@@ -9,9 +9,9 @@ class Dense : public Layer {
  public:
   Dense(std::int64_t in_features, std::int64_t out_features, Rng& rng);
 
-  Tensor forward(const Tensor& x, bool train) override;
-  Tensor backward(const Tensor& grad_out) override;
-  void backward_params(const Tensor& grad_out) override;
+  Tensor forward(Tensor x, bool train) override;
+  Tensor backward(Tensor grad_out) override;
+  void backward_params(Tensor grad_out) override;
   std::string name() const override;
   std::vector<ParamGroup> param_groups() override;
   std::unique_ptr<Layer> clone() const override;
@@ -21,6 +21,8 @@ class Dense : public Layer {
 
  private:
   Dense(const Dense&) = default;
+  // dW += x^T g and db += column sums of g, for the cached input x.
+  void accumulate_param_grads(const Tensor& grad_out);
 
   std::int64_t in_, out_;
   Tensor weight_;       // [in, out]

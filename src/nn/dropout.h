@@ -12,8 +12,8 @@ class Dropout : public Layer {
  public:
   Dropout(double rate, Rng rng);
 
-  Tensor forward(const Tensor& x, bool train) override;
-  Tensor backward(const Tensor& grad_out) override;
+  Tensor forward(Tensor x, bool train) override;
+  Tensor backward(Tensor grad_out) override;
   std::string name() const override;
   std::unique_ptr<Layer> clone() const override;
 

@@ -7,8 +7,8 @@ namespace dinar::nn {
 
 class Flatten : public Layer {
  public:
-  Tensor forward(const Tensor& x, bool train) override;
-  Tensor backward(const Tensor& grad_out) override;
+  Tensor forward(Tensor x, bool train) override;
+  Tensor backward(Tensor grad_out) override;
   std::string name() const override { return "flatten"; }
   std::unique_ptr<Layer> clone() const override;
 

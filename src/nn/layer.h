@@ -11,6 +11,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "tensor/tensor.h"
@@ -43,19 +44,34 @@ class Layer {
   virtual void set_execution_context(const ExecutionContext* exec) { exec_ = exec; }
   const ExecutionContext* execution_context() const { return exec_; }
 
-  // Computes the layer output; when `train` is true the layer caches the
-  // activations backward() needs. Gradients accumulate into the grad
-  // tensors (callers zero them via Model::zero_grad between steps).
-  virtual Tensor forward(const Tensor& x, bool train) = 0;
+  // Tensors pass through the stack by value: a layer owns the activation
+  // it is given and may reuse its storage (ReLU clamps in place, Flatten
+  // reshapes without a copy), and a caller that still needs a tensor passes
+  // a copy. nn::Model moves each activation and gradient from layer to
+  // layer, so a step copies only the model's input and its loss gradient.
+
+  // Computes the layer output; when `train` is true the layer caches what
+  // backward() needs, and keeps it until the next training forward:
+  //   - Conv2d, Conv1d and Dense keep their input (moved in, not copied);
+  //   - ReLU keeps a byte mask of the elements whose gradient it zeroes;
+  //   - Tanh keeps a copy of its output, Dropout its scaled mask;
+  //   - pooling layers keep their input shape (and argmax indices);
+  //   - Flatten keeps its input shape;
+  //   - ResidualBlock's inner layers keep theirs.
+  // An eval forward (train = false) leaves the cache alone. Gradients
+  // accumulate into the grad tensors (callers zero them via
+  // Model::zero_grad between steps).
+  virtual Tensor forward(Tensor x, bool train) = 0;
 
   // Given dL/d(output), accumulates parameter gradients and returns
-  // dL/d(input). Must follow a forward(x, /*train=*/true) call.
-  virtual Tensor backward(const Tensor& grad_out) = 0;
+  // dL/d(input), reusing grad_out's storage where the layer can. Must
+  // follow a forward(x, /*train=*/true) call.
+  virtual Tensor backward(Tensor grad_out) = 0;
 
   // backward() for a caller that never reads dL/d(input) (the model's
   // first layer): accumulates bit-identical parameter gradients, and
   // layers whose input gradient is real work skip it.
-  virtual void backward_params(const Tensor& grad_out) { backward(grad_out); }
+  virtual void backward_params(Tensor grad_out) { backward(std::move(grad_out)); }
 
   virtual std::string name() const = 0;
 

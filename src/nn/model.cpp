@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstring>
 #include <sstream>
+#include <utility>
 
 #include "util/error.h"
 #include "util/memory_tracker.h"
@@ -37,27 +38,36 @@ Model& Model::add(std::unique_ptr<Layer> layer) {
   return *this;
 }
 
+Layer& Model::layer(std::size_t i) {
+  DINAR_CHECK(i < layers_.size(), "layer " << i << " out of " << layers_.size());
+  return *layers_[i];
+}
+
 void Model::set_execution_context(const ExecutionContext* exec) {
   exec_ = exec;
   for (auto& layer : layers_) layer->set_execution_context(exec);
 }
 
 Tensor Model::forward(const Tensor& x, bool train) {
+  // One copy of the caller's input; from there each layer owns the
+  // activation it is given (nn/layer.h).
   Tensor h = x;
-  for (auto& layer : layers_) h = layer->forward(h, train);
+  for (auto& layer : layers_) h = layer->forward(std::move(h), train);
   return h;
 }
 
 void Model::backward(const Tensor& grad_output) {
   if (layers_.empty()) return;
   Tensor g = grad_output;
-  for (std::size_t i = layers_.size() - 1; i > 0; --i) g = layers_[i]->backward(g);
-  layers_.front()->backward_params(g);
+  for (std::size_t i = layers_.size() - 1; i > 0; --i)
+    g = layers_[i]->backward(std::move(g));
+  layers_.front()->backward_params(std::move(g));
 }
 
 Tensor Model::backward_with_input_grad(const Tensor& grad_output) {
   Tensor g = grad_output;
-  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) g = (*it)->backward(g);
+  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it)
+    g = (*it)->backward(std::move(g));
   return g;
 }
 

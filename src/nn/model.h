@@ -43,9 +43,12 @@ class Model {
   void set_execution_context(const ExecutionContext* exec);
   const ExecutionContext* execution_context() const { return exec_; }
 
+  // Copies x once, then moves each activation from layer to layer
+  // (nn/layer.h); the caller's x is left unchanged.
   Tensor forward(const Tensor& x, bool train = false);
-  // Backpropagates dL/d(output); parameter gradients accumulate. The
-  // first layer's input gradient is not computed: training never reads it.
+  // Backpropagates dL/d(output), copied once and then moved down the
+  // stack; parameter gradients accumulate. The first layer's input
+  // gradient is not computed: training never reads it.
   void backward(const Tensor& grad_output);
   // As backward(), and also returns dL/d(input) (gradient checks).
   Tensor backward_with_input_grad(const Tensor& grad_output);
@@ -57,6 +60,8 @@ class Model {
   std::size_t num_param_layers();
   std::int64_t num_parameters();
   std::size_t num_layers() const { return layers_.size(); }
+  // Layer i in forward order (i < num_layers()).
+  Layer& layer(std::size_t i);
 
   // Arena layout of this model's parameters (shared, immutable; one
   // instance per model until the layer stack changes). Every snapshot

@@ -32,7 +32,7 @@ MaxPool2d::MaxPool2d(std::int64_t window) : window_(window) {
   DINAR_CHECK(window >= 1, "pool window must be >= 1");
 }
 
-Tensor MaxPool2d::forward(const Tensor& x, bool train) {
+Tensor MaxPool2d::forward(Tensor x, bool train) {
   DINAR_CHECK(x.rank() == 4, "MaxPool2d expects [B,C,H,W]");
   const std::int64_t b = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
   const std::int64_t oh = h / window_, ow = w / window_;
@@ -63,7 +63,7 @@ Tensor MaxPool2d::forward(const Tensor& x, bool train) {
   return y;
 }
 
-Tensor MaxPool2d::backward(const Tensor& grad_out) {
+Tensor MaxPool2d::backward(Tensor grad_out) {
   DINAR_CHECK(!cached_in_shape_.empty(), "MaxPool2d::backward without cached forward");
   DINAR_CHECK(grad_out.numel() == static_cast<std::int64_t>(argmax_.size()),
               "MaxPool2d backward shape mismatch");
@@ -85,7 +85,7 @@ MaxPool1d::MaxPool1d(std::int64_t window) : window_(window) {
   DINAR_CHECK(window >= 1, "pool window must be >= 1");
 }
 
-Tensor MaxPool1d::forward(const Tensor& x, bool train) {
+Tensor MaxPool1d::forward(Tensor x, bool train) {
   DINAR_CHECK(x.rank() == 3, "MaxPool1d expects [B,C,L]");
   const std::int64_t b = x.dim(0), c = x.dim(1), l = x.dim(2);
   const std::int64_t ol = l / window_;
@@ -110,7 +110,7 @@ Tensor MaxPool1d::forward(const Tensor& x, bool train) {
   return y;
 }
 
-Tensor MaxPool1d::backward(const Tensor& grad_out) {
+Tensor MaxPool1d::backward(Tensor grad_out) {
   DINAR_CHECK(!cached_in_shape_.empty(), "MaxPool1d::backward without cached forward");
   DINAR_CHECK(grad_out.numel() == static_cast<std::int64_t>(argmax_.size()),
               "MaxPool1d backward shape mismatch");
@@ -128,7 +128,7 @@ std::unique_ptr<Layer> MaxPool1d::clone() const {
   return std::make_unique<MaxPool1d>(*this);
 }
 
-Tensor GlobalAvgPool2d::forward(const Tensor& x, bool train) {
+Tensor GlobalAvgPool2d::forward(Tensor x, bool train) {
   DINAR_CHECK(x.rank() == 4, "GlobalAvgPool2d expects [B,C,H,W]");
   if (train) cached_in_shape_ = x.shape();
   const std::int64_t b = x.dim(0), c = x.dim(1), hw = x.dim(2) * x.dim(3);
@@ -146,7 +146,7 @@ Tensor GlobalAvgPool2d::forward(const Tensor& x, bool train) {
   return y;
 }
 
-Tensor GlobalAvgPool2d::backward(const Tensor& grad_out) {
+Tensor GlobalAvgPool2d::backward(Tensor grad_out) {
   DINAR_CHECK(!cached_in_shape_.empty(), "GlobalAvgPool2d::backward without forward");
   Tensor dx(cached_in_shape_);
   const std::int64_t b = cached_in_shape_[0], c = cached_in_shape_[1],
@@ -167,7 +167,7 @@ std::unique_ptr<Layer> GlobalAvgPool2d::clone() const {
   return std::make_unique<GlobalAvgPool2d>(*this);
 }
 
-Tensor GlobalAvgPool1d::forward(const Tensor& x, bool train) {
+Tensor GlobalAvgPool1d::forward(Tensor x, bool train) {
   DINAR_CHECK(x.rank() == 3, "GlobalAvgPool1d expects [B,C,L]");
   if (train) cached_in_shape_ = x.shape();
   const std::int64_t b = x.dim(0), c = x.dim(1), l = x.dim(2);
@@ -184,7 +184,7 @@ Tensor GlobalAvgPool1d::forward(const Tensor& x, bool train) {
   return y;
 }
 
-Tensor GlobalAvgPool1d::backward(const Tensor& grad_out) {
+Tensor GlobalAvgPool1d::backward(Tensor grad_out) {
   DINAR_CHECK(!cached_in_shape_.empty(), "GlobalAvgPool1d::backward without forward");
   Tensor dx(cached_in_shape_);
   const std::int64_t b = cached_in_shape_[0], c = cached_in_shape_[1],

@@ -11,8 +11,8 @@ class MaxPool2d : public Layer {
  public:
   explicit MaxPool2d(std::int64_t window);
 
-  Tensor forward(const Tensor& x, bool train) override;
-  Tensor backward(const Tensor& grad_out) override;
+  Tensor forward(Tensor x, bool train) override;
+  Tensor backward(Tensor grad_out) override;
   std::string name() const override;
   std::unique_ptr<Layer> clone() const override;
 
@@ -27,8 +27,8 @@ class MaxPool1d : public Layer {
  public:
   explicit MaxPool1d(std::int64_t window);
 
-  Tensor forward(const Tensor& x, bool train) override;
-  Tensor backward(const Tensor& grad_out) override;
+  Tensor forward(Tensor x, bool train) override;
+  Tensor backward(Tensor grad_out) override;
   std::string name() const override;
   std::unique_ptr<Layer> clone() const override;
 
@@ -41,8 +41,8 @@ class MaxPool1d : public Layer {
 // [B, C, H, W] -> [B, C]: mean over the spatial extent.
 class GlobalAvgPool2d : public Layer {
  public:
-  Tensor forward(const Tensor& x, bool train) override;
-  Tensor backward(const Tensor& grad_out) override;
+  Tensor forward(Tensor x, bool train) override;
+  Tensor backward(Tensor grad_out) override;
   std::string name() const override { return "gap2d"; }
   std::unique_ptr<Layer> clone() const override;
 
@@ -53,8 +53,8 @@ class GlobalAvgPool2d : public Layer {
 // [B, C, L] -> [B, C]: mean over time.
 class GlobalAvgPool1d : public Layer {
  public:
-  Tensor forward(const Tensor& x, bool train) override;
-  Tensor backward(const Tensor& grad_out) override;
+  Tensor forward(Tensor x, bool train) override;
+  Tensor backward(Tensor grad_out) override;
   std::string name() const override { return "gap1d"; }
   std::unique_ptr<Layer> clone() const override;
 

@@ -2,6 +2,8 @@
 
 #include "nn/activations.h"
 #include "nn/conv2d.h"
+#include <utility>
+
 #include "util/error.h"
 
 namespace dinar::nn {
@@ -17,25 +19,27 @@ ResidualBlock::ResidualBlock(std::int64_t in_channels, std::int64_t out_channels
     proj_ = std::make_unique<Conv2d>(in_channels, out_channels, 1, stride, 0, rng);
 }
 
-Tensor ResidualBlock::forward(const Tensor& x, bool train) {
-  Tensor h = conv1_->forward(x, train);
-  h = relu_mid_->forward(h, train);
-  h = conv2_->forward(h, train);
+Tensor ResidualBlock::forward(Tensor x, bool train) {
+  // x feeds both branches, so the skip gets its own copy.
   Tensor skip = proj_ ? proj_->forward(x, train) : x;
+  Tensor h = conv1_->forward(std::move(x), train);
+  h = relu_mid_->forward(std::move(h), train);
+  h = conv2_->forward(std::move(h), train);
   DINAR_CHECK(h.same_shape(skip), "residual branch/skip shape mismatch: "
                                       << shape_to_string(h.shape()) << " vs "
                                       << shape_to_string(skip.shape()));
   h += skip;
-  return relu_out_->forward(h, train);
+  return relu_out_->forward(std::move(h), train);
 }
 
-Tensor ResidualBlock::backward(const Tensor& grad_out) {
-  Tensor g = relu_out_->backward(grad_out);
-  // The add distributes the gradient to both branches.
+Tensor ResidualBlock::backward(Tensor grad_out) {
+  Tensor g = relu_out_->backward(std::move(grad_out));
+  // The add distributes the gradient to both branches, so the skip gets
+  // its own copy.
   Tensor g_skip = proj_ ? proj_->backward(g) : g;
-  Tensor g_main = conv2_->backward(g);
-  g_main = relu_mid_->backward(g_main);
-  g_main = conv1_->backward(g_main);
+  Tensor g_main = conv2_->backward(std::move(g));
+  g_main = relu_mid_->backward(std::move(g_main));
+  g_main = conv1_->backward(std::move(g_main));
   g_main += g_skip;
   return g_main;
 }

@@ -18,8 +18,8 @@ class ResidualBlock : public Layer {
   ResidualBlock(std::int64_t in_channels, std::int64_t out_channels,
                 std::int64_t stride, Rng& rng);
 
-  Tensor forward(const Tensor& x, bool train) override;
-  Tensor backward(const Tensor& grad_out) override;
+  Tensor forward(Tensor x, bool train) override;
+  Tensor backward(Tensor grad_out) override;
   std::string name() const override;
   std::vector<ParamGroup> param_groups() override;
   std::unique_ptr<Layer> clone() const override;

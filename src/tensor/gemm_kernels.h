@@ -37,7 +37,9 @@
 namespace dinar::detail {
 
 // Register block: one microkernel call produces a kGemmMR x kGemmNR output
-// tile per B panel (8x8 = 8 ymm accumulators in the AVX2 tier).
+// tile per B panel (8x8 = 8 ymm accumulators in the AVX2 tier). tensor.h
+// publishes the same block for callers that pack their own operands
+// (gemm_packed); tensor.cpp checks that the two agree.
 inline constexpr std::int64_t kGemmMR = 8;
 inline constexpr std::int64_t kGemmNR = 8;
 

@@ -135,11 +135,19 @@ float Tensor::at(std::int64_t r, std::int64_t c) const {
   return data_[static_cast<std::size_t>(r * shape_[1] + c)];
 }
 
-Tensor Tensor::reshaped(Shape new_shape) const {
+Tensor Tensor::reshaped(Shape new_shape) const& {
   DINAR_CHECK(shape_numel(new_shape) == numel_,
               "reshape " << shape_to_string(shape_) << " -> "
                          << shape_to_string(new_shape) << " changes numel");
   return Tensor(std::move(new_shape), data_);
+}
+
+Tensor Tensor::reshaped(Shape new_shape) && {
+  DINAR_CHECK(shape_numel(new_shape) == numel_,
+              "reshape " << shape_to_string(shape_) << " -> "
+                         << shape_to_string(new_shape) << " changes numel");
+  shape_ = std::move(new_shape);
+  return std::move(*this);
 }
 
 void Tensor::fill(float value) { std::fill(data_.begin(), data_.end(), value); }
@@ -211,8 +219,8 @@ Tensor scale(const Tensor& a, float s) {
 
 namespace {
 
-using detail::kGemmMR;
-using detail::kGemmNR;
+static_assert(kGemmMR == detail::kGemmMR && kGemmNR == detail::kGemmNR,
+              "the public packed layout must be the microkernels' register block");
 
 // Per-thread packing scratch, reused across gemm calls so the hot loop is
 // allocation-free after warm-up. `bpack` holds the shared packed op(b)
@@ -264,6 +272,62 @@ std::size_t pack_panel_grain(std::int64_t k) {
       std::max<std::int64_t>(1, 2048 / std::max<std::int64_t>(1, k)));
 }
 
+// Packs row-block bi of op(a) (element (i, kk) at a[i*row_stride +
+// kk*k_stride]) into k groups of kGemmMR floats, rows past m zeroed.
+void pack_a_block(const float* a, std::int64_t row_stride, std::int64_t k_stride,
+                  std::int64_t m, std::int64_t k, std::int64_t bi, float* apack) {
+  const std::int64_t i0 = bi * kGemmMR;
+  const std::int64_t rows = std::min<std::int64_t>(kGemmMR, m - i0);
+  if (k_stride == 1) {
+    // op(a) rows are contiguous: stream each row, strided writes into the
+    // L1-resident pack buffer.
+    for (std::int64_t r = 0; r < kGemmMR; ++r) {
+      if (r < rows) {
+        const float* arow = a + (i0 + r) * row_stride;
+        for (std::int64_t kk = 0; kk < k; ++kk) apack[kk * kGemmMR + r] = arow[kk];
+      } else {
+        for (std::int64_t kk = 0; kk < k; ++kk) apack[kk * kGemmMR + r] = 0.0f;
+      }
+    }
+    return;
+  }
+  // Transposed operand: each kk step reads kGemmMR contiguous floats.
+  for (std::int64_t kk = 0; kk < k; ++kk) {
+    float* dst = apack + kk * kGemmMR;
+    const float* src = a + i0 * row_stride + kk * k_stride;
+    std::int64_t r = 0;
+    for (; r < rows; ++r) dst[r] = src[r * row_stride];
+    for (; r < kGemmMR; ++r) dst[r] = 0.0f;
+  }
+}
+
+// Packs panels [p0, p1) of op(b) (element (kk, j) at b[kk*k_stride +
+// j*col_stride]): per panel, k groups of kGemmNR floats, columns past n
+// zeroed.
+void pack_b_panels(const float* b, std::int64_t k_stride, std::int64_t col_stride,
+                   std::int64_t n, std::int64_t k, std::int64_t p0, std::int64_t p1,
+                   float* bpack) {
+  for (std::int64_t bj = p0; bj < p1; ++bj) {
+    const std::int64_t j0 = bj * kGemmNR;
+    const std::int64_t cols = std::min<std::int64_t>(kGemmNR, n - j0);
+    float* panel = bpack + bj * k * kGemmNR;
+    for (std::int64_t kk = 0; kk < k; ++kk) {
+      float* dst = panel + kk * kGemmNR;
+      const float* src = b + kk * k_stride + j0 * col_stride;
+      std::int64_t j = 0;
+      for (; j < cols; ++j) dst[j] = src[j * col_stride];
+      for (; j < kGemmNR; ++j) dst[j] = 0.0f;
+    }
+  }
+}
+
+// c = 0 (or left alone when accumulating) for an empty reduction axis.
+void zero_unless_accumulating(std::int64_t m, std::int64_t n, float* c, std::int64_t ldc,
+                              bool accumulate) {
+  if (!accumulate)
+    for (std::int64_t i = 0; i < m; ++i) std::fill(c + i * ldc, c + i * ldc + n, 0.0f);
+}
+
 detail::GemmBlockFn gemm_block_fn(GemmKernel kernel) {
   switch (kernel) {
     case GemmKernel::kScalar:
@@ -313,8 +377,7 @@ void gemm_into(Trans trans_a, Trans trans_b, std::int64_t m, std::int64_t n,
   // is positive.
   if (m == 0 || n == 0) return;
   if (k == 0) {
-    if (!accumulate)
-      for (std::int64_t i = 0; i < m; ++i) std::fill(c + i * ldc, c + i * ldc + n, 0.0f);
+    zero_unless_accumulating(m, n, c, ldc, accumulate);
     return;
   }
   DINAR_CHECK(gemm_kernel_available(kernel),
@@ -333,24 +396,12 @@ void gemm_into(Trans trans_a, Trans trans_b, std::int64_t m, std::int64_t n,
   const std::int64_t mblocks = (m + kGemmMR - 1) / kGemmMR;
   const std::int64_t npanels = (n + kGemmNR - 1) / kGemmNR;
 
-  // Pack op(b) once into the calling thread's arena: per panel, k groups
-  // of kGemmNR floats, edge columns zero-padded. Panels are disjoint, so
-  // packing parallelizes with deterministic contents.
+  // Pack op(b) once into the calling thread's arena. Panels are disjoint,
+  // so packing parallelizes with deterministic contents.
   float* bpack = grown(gemm_scratch().bpack,
-                       static_cast<std::size_t>(npanels * k * kGemmNR));
+                       static_cast<std::size_t>(gemm_packed_b_floats(k, n)));
   const auto pack_b = [&](std::int64_t p0, std::int64_t p1) {
-    for (std::int64_t bj = p0; bj < p1; ++bj) {
-      const std::int64_t j0 = bj * kGemmNR;
-      const std::int64_t cols = std::min<std::int64_t>(kGemmNR, n - j0);
-      float* panel = bpack + bj * k * kGemmNR;
-      for (std::int64_t kk = 0; kk < k; ++kk) {
-        float* dst = panel + kk * kGemmNR;
-        const float* src = b + kk * b_k_stride + j0 * b_col_stride;
-        std::int64_t j = 0;
-        for (; j < cols; ++j) dst[j] = src[j * b_col_stride];
-        for (; j < kGemmNR; ++j) dst[j] = 0.0f;
-      }
-    }
+    pack_b_panels(b, b_k_stride, b_col_stride, n, k, p0, p1, bpack);
   };
   if (exec != nullptr)
     exec->parallel_for(npanels, pack_b, pack_panel_grain(k));
@@ -366,38 +417,59 @@ void gemm_into(Trans trans_a, Trans trans_b, std::int64_t m, std::int64_t n,
     float* apack =
         grown(gemm_scratch().apack, static_cast<std::size_t>(k * kGemmMR));
     for (std::int64_t bi = blk0; bi < blk1; ++bi) {
+      pack_a_block(a, a_row_stride, a_k_stride, m, k, bi, apack);
       const std::int64_t i0 = bi * kGemmMR;
-      const std::int64_t rows = std::min<std::int64_t>(kGemmMR, m - i0);
-      if (a_k_stride == 1) {
-        // op(a) rows are contiguous: stream each row, strided writes into
-        // the L1-resident pack buffer.
-        for (std::int64_t r = 0; r < kGemmMR; ++r) {
-          if (r < rows) {
-            const float* arow = a + (i0 + r) * a_row_stride;
-            for (std::int64_t kk = 0; kk < k; ++kk)
-              apack[kk * kGemmMR + r] = arow[kk];
-          } else {
-            for (std::int64_t kk = 0; kk < k; ++kk)
-              apack[kk * kGemmMR + r] = 0.0f;
-          }
-        }
-      } else {
-        // Transposed operand: each kk step reads kGemmMR contiguous floats.
-        for (std::int64_t kk = 0; kk < k; ++kk) {
-          float* dst = apack + kk * kGemmMR;
-          const float* src = a + i0 * a_row_stride + kk * a_k_stride;
-          std::int64_t r = 0;
-          for (; r < rows; ++r) dst[r] = src[r * a_row_stride];
-          for (; r < kGemmMR; ++r) dst[r] = 0.0f;
-        }
-      }
-      block_fn(rows, n, k, apack, bpack, c + i0 * ldc, ldc, accumulate);
+      block_fn(std::min<std::int64_t>(kGemmMR, m - i0), n, k, apack, bpack, c + i0 * ldc,
+               ldc, accumulate);
     }
   };
   if (exec != nullptr)
     exec->parallel_for(mblocks, row_blocks, gemm_block_grain(kernel, k, n));
   else
     row_blocks(0, mblocks);
+}
+
+std::int64_t gemm_packed_a_floats(std::int64_t m, std::int64_t k) {
+  return (m + kGemmMR - 1) / kGemmMR * kGemmMR * k;
+}
+
+std::int64_t gemm_packed_b_floats(std::int64_t k, std::int64_t n) {
+  return (n + kGemmNR - 1) / kGemmNR * kGemmNR * k;
+}
+
+void gemm_pack_a(Trans trans_a, std::int64_t m, std::int64_t k, const float* a,
+                 std::int64_t lda, float* apack) {
+  DINAR_CHECK(m >= 0 && k >= 0, "gemm_pack_a: negative extent");
+  const std::int64_t row_stride = trans_a == Trans::kN ? lda : 1;
+  const std::int64_t k_stride = trans_a == Trans::kN ? 1 : lda;
+  for (std::int64_t bi = 0; bi < (m + kGemmMR - 1) / kGemmMR; ++bi)
+    pack_a_block(a, row_stride, k_stride, m, k, bi, apack + bi * k * kGemmMR);
+}
+
+void gemm_pack_b(Trans trans_b, std::int64_t k, std::int64_t n, const float* b,
+                 std::int64_t ldb, float* bpack) {
+  DINAR_CHECK(k >= 0 && n >= 0, "gemm_pack_b: negative extent");
+  const std::int64_t k_stride = trans_b == Trans::kN ? ldb : 1;
+  const std::int64_t col_stride = trans_b == Trans::kN ? 1 : ldb;
+  pack_b_panels(b, k_stride, col_stride, n, k, 0, (n + kGemmNR - 1) / kGemmNR, bpack);
+}
+
+void gemm_packed(std::int64_t m, std::int64_t n, std::int64_t k, const float* apack,
+                 const float* bpack, float* c, std::int64_t ldc, bool accumulate,
+                 GemmKernel kernel) {
+  DINAR_CHECK(m >= 0 && n >= 0 && k >= 0, "gemm_packed: negative extent");
+  if (m == 0 || n == 0) return;
+  if (k == 0) {
+    zero_unless_accumulating(m, n, c, ldc, accumulate);
+    return;
+  }
+  DINAR_CHECK(gemm_kernel_available(kernel),
+              "gemm kernel '" << gemm_kernel_name(kernel)
+                              << "' is not available in this build/host");
+  const detail::GemmBlockFn block_fn = gemm_block_fn(kernel);
+  for (std::int64_t i0 = 0; i0 < m; i0 += kGemmMR)
+    block_fn(std::min<std::int64_t>(kGemmMR, m - i0), n, k, apack + i0 * k, bpack,
+             c + i0 * ldc, ldc, accumulate);
 }
 
 void span_add(std::span<float> a, std::span<const float> b) {

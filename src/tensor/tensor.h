@@ -65,8 +65,10 @@ class Tensor {
   float& at(std::int64_t r, std::int64_t c);
   float at(std::int64_t r, std::int64_t c) const;
 
-  // Returns a tensor with the same data and a new shape (same numel).
-  Tensor reshaped(Shape new_shape) const;
+  // Returns a tensor with the same data and a new shape (same numel). The
+  // rvalue overload moves the data instead of copying it.
+  Tensor reshaped(Shape new_shape) const&;
+  Tensor reshaped(Shape new_shape) &&;
 
   void fill(float value);
   void zero() { fill(0.0f); }
@@ -141,6 +143,41 @@ void gemm_into(Trans trans_a, Trans trans_b, std::int64_t m, std::int64_t n,
                std::int64_t k, const float* a, std::int64_t lda, const float* b,
                std::int64_t ldb, float* c, std::int64_t ldc, bool accumulate,
                const ExecutionContext* exec, GemmKernel kernel);
+
+// -- packed operands ---------------------------------------------------------
+// gemm_into is two steps: pack op(a) and op(b) into register-block panels,
+// then run the microkernel over the packed operands. A caller that can
+// write the packed layout straight from its own storage (the convolution
+// lowering packs patch panels from a zero-bordered input plane, with no
+// patch matrix in between) runs the steps itself:
+//
+//   packed A: ceil(m / kGemmMR) row-blocks of k * kGemmMR floats; group kk
+//             of block bi holds op(a)[bi*kGemmMR + r][kk] for r < kGemmMR.
+//   packed B: ceil(n / kGemmNR) panels of k * kGemmNR floats; group kk of
+//             panel bj holds op(b)[kk][bj*kGemmNR + j] for j < kGemmNR.
+//
+// Lanes past m or past n feed only outputs that are never stored, so their
+// contents cannot reach c (the pack functions below write zeros there).
+inline constexpr std::int64_t kGemmMR = 8;  // rows per packed A block
+inline constexpr std::int64_t kGemmNR = 8;  // columns per packed B panel
+
+// Floats a packed [m, k] A or [k, n] B occupies.
+std::int64_t gemm_packed_a_floats(std::int64_t m, std::int64_t k);
+std::int64_t gemm_packed_b_floats(std::int64_t k, std::int64_t n);
+
+// Pack op(a) ([m, k]) or op(b) ([k, n]) from row-major storage with stored
+// row length lda / ldb.
+void gemm_pack_a(Trans trans_a, std::int64_t m, std::int64_t k, const float* a,
+                 std::int64_t lda, float* apack);
+void gemm_pack_b(Trans trans_b, std::int64_t k, std::int64_t n, const float* b,
+                 std::int64_t ldb, float* bpack);
+
+// c = A B for packed operands, on the calling thread, with gemm_into's
+// `accumulate` and numerics: every element is one ascending-k chain, so a
+// packed call and gemm_into over the same values give the same bits.
+void gemm_packed(std::int64_t m, std::int64_t n, std::int64_t k, const float* apack,
+                 const float* bpack, float* c, std::int64_t ldc, bool accumulate,
+                 GemmKernel kernel);
 
 // -- span kernels ------------------------------------------------------------
 // Elementwise math over raw float ranges. These are the inner loops of the

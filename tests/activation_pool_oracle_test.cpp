@@ -15,10 +15,13 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "nn/activations.h"
+#include "nn/model.h"
 #include "nn/pooling.h"
 
 namespace dinar::nn {
@@ -172,6 +175,38 @@ TEST(ActivationPoolOracleTest, ReluMatchesBranchyReferenceBitForBit) {
   ReLU relu;
   expect_bits_equal(relu.forward(x, true), ref_relu_forward(x), "3x5x7x9 forward");
   expect_bits_equal(relu.backward(g), ref_relu_backward(x, g), "3x5x7x9 backward");
+}
+
+TEST(ActivationPoolOracleTest, ReluByValueWorksInPlaceAndMatchesTheReference) {
+  // A moved-in activation is clamped in its own storage, and a moved-in
+  // gradient is selected in its own storage, with the branchy reference's
+  // bits for signed zeros, NaNs, infinities and subnormals.
+  for (const std::int64_t n : {1, 7, 8, 9, 33, 1001}) {
+    const Tensor x = awkward_tensor({n}, static_cast<std::uint64_t>(n) + 900, false);
+    const Tensor g = awkward_tensor({n}, static_cast<std::uint64_t>(n) + 1900, false);
+    const std::string at = "n=" + std::to_string(n);
+    ReLU relu;
+    Tensor x_in = x;
+    const float* x_storage = x_in.data();
+    const Tensor y = relu.forward(std::move(x_in), /*train=*/true);
+    EXPECT_EQ(y.data(), x_storage) << at;
+    expect_bits_equal(y, ref_relu_forward(x), at + " forward");
+    Tensor g_in = g;
+    const float* g_storage = g_in.data();
+    const Tensor dx = relu.backward(std::move(g_in));
+    EXPECT_EQ(dx.data(), g_storage) << at;
+    expect_bits_equal(dx, ref_relu_backward(x, g), at + " backward");
+  }
+  // Two ReLUs in a model: the second one's input is the first one's
+  // moved output, and each backward selects with its own cached mask.
+  Model model;
+  model.add(std::make_unique<ReLU>()).add(std::make_unique<ReLU>());
+  const Tensor x = awkward_tensor({4, 9, 5}, 91, false);
+  const Tensor g = awkward_tensor(x.shape(), 92, false);
+  const Tensor y1 = ref_relu_forward(x);
+  expect_bits_equal(model.forward(x, /*train=*/true), ref_relu_forward(y1), "model forward");
+  expect_bits_equal(model.backward_with_input_grad(g),
+                    ref_relu_backward(x, ref_relu_backward(y1, g)), "model backward");
 }
 
 TEST(ActivationPoolOracleTest, ReluKeepsSignedZerosAndNan) {

@@ -266,6 +266,72 @@ TEST(ConvOracleTest, Conv1dM5AudioLayersAreBitIdentical) {
     }
 }
 
+TEST(ConvOracleTest, PlanePackedPanelEdgesAreBitIdentical) {
+  // The gemm panels are packed straight from the padded planes. C = 3 on
+  // 5x7 maps leaves P and CK off the 8-wide panels (partial edge panels and
+  // a partial last tap panel); OC = 11 leaves a partial gradient row-block
+  // and a partial group of bias lanes; stride 2 takes the gather path; and
+  // batch 1 makes the weight-gradient chain a single image.
+  for (const std::int64_t out : {5, 11, 16})
+    for (const std::int64_t stride : {1, 2})
+      for (const std::int64_t padding : {0, 1})
+        for (const std::int64_t batch : {1, 2}) {
+          std::string label = "oc";
+          label.append(std::to_string(out)).append(" s").append(std::to_string(stride));
+          label.append(" p").append(std::to_string(padding)).append(" b");
+          label.append(std::to_string(batch));
+          Rng rng(static_cast<std::uint64_t>(out * 100 + stride * 10 + padding + batch * 1000));
+          const Conv2d conv2(3, out, 3, stride, padding, rng);
+          check_conv(conv2, Tensor::gaussian({batch, 3, 5, 7}, rng), stride, padding, padding,
+                     "conv2d " + label);
+          const Conv1d conv1(3, out, 3, stride, padding, rng);
+          check_conv(conv1, Tensor::gaussian({batch, 3, 7}, rng), stride, 0, padding,
+                     "conv1d " + label);
+        }
+}
+
+TEST(ConvOracleTest, TrainingStepsThroughAShortBatchMatchTheReference) {
+  // The trainer's pattern: full batches of 64, a short last batch of 32,
+  // then 64 again, with eval forwards of another size between each
+  // training forward and its backward. Every training forward replaces the
+  // input the layer retains for backward; dW and db keep accumulating
+  // across the steps on both sides.
+  for (const auto& exec : thread_contexts()) {
+    for (const bool one_d : {false, true}) {
+      std::string what = one_d ? "conv1d" : "conv2d";
+      what.append(" @ ").append(std::to_string(exec->threads()));
+      Rng rng(one_d ? 61 : 60);
+      std::unique_ptr<Layer> conv;
+      if (one_d)
+        conv = std::make_unique<Conv1d>(3, 5, 3, 1, 1, rng);
+      else
+        conv = std::make_unique<Conv2d>(3, 8, 3, 1, 1, rng);
+      seed_grads(*conv, 23);
+      RefConv ref = reference_for(*conv, 1, one_d ? 0 : 1, 1);
+      conv->set_execution_context(exec.get());
+      for (const std::int64_t batch : {64, 32, 64}) {
+        const std::string at = what + " b" + std::to_string(batch);
+        const Shape in = one_d ? Shape{batch, 3, 20} : Shape{batch, 3, 12, 12};
+        const Tensor x = Tensor::gaussian(in, rng);
+        const Tensor y_ref = ref.forward(as_4d(x));
+        const Tensor grad = Tensor::gaussian(y_ref.shape(), rng);
+        const Tensor dx_ref = ref.backward(grad);
+
+        const Tensor y = conv->forward(x, /*train=*/true);
+        Shape other = in;
+        other[0] = 7;
+        (void)conv->forward(Tensor::gaussian(other, rng), /*train=*/false);
+        const Tensor dx = conv->backward(grad.reshaped(y.shape()));
+        expect_bits_equal(y, y_ref, at + ": y");
+        expect_bits_equal(dx, dx_ref, at + ": dx");
+        const ParamGroup g = conv->param_groups().at(0);
+        expect_bits_equal(*g.grads[0], ref.grad_weight(), at + ": dW");
+        expect_bits_equal(*g.grads[1], ref.grad_bias(), at + ": db");
+      }
+    }
+  }
+}
+
 TEST(ConvOracleTest, ResidualBlockMatchesReferenceComposition) {
   for (const std::int64_t stride : {1, 2}) {
     Rng rng(static_cast<std::uint64_t>(40 + stride));
@@ -376,8 +442,8 @@ TEST(ConvOracleTest, RejectsAKernelLargerThanItsPaddedInput) {
 }
 
 TEST(ConvOracleTest, EvalForwardMatchesTrainingForward) {
-  // Eval uses a per-thread tile instead of the retained patch buffer, and
-  // must not disturb what a pending backward reads.
+  // An eval forward keeps nothing, and must not disturb the retained input
+  // a pending backward reads.
   Rng rng(11);
   Conv2d conv(4, 8, 3, 1, 1, rng);
   const Tensor x = Tensor::gaussian({5, 4, 9, 7}, rng);

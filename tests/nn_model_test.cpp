@@ -7,6 +7,10 @@
 #include <vector>
 
 #include "gradcheck.h"
+#include "nn/activations.h"
+#include "nn/conv2d.h"
+#include "nn/dense.h"
+#include "nn/flatten.h"
 #include "nn/loss.h"
 #include "nn/model_zoo.h"
 #include "test_helpers.h"
@@ -143,6 +147,36 @@ TEST(ModelTest, SkippingTheInputGradientKeepsParameterGradientsBitIdentical) {
   check(make_vgg_small(3, 8, 5, 2, rng), Tensor::gaussian({3, 3, 8, 8}, rng), "vgg");
   check(make_m5_audio(256, 4, rng), Tensor::gaussian({2, 1, 256}, rng), "m5");
   check(make_tiny_mlp(4, 3, rng), Tensor::gaussian({5, 4}, rng), "mlp");
+}
+
+TEST(ModelTest, ForwardLeavesTheCallersInputUnchanged) {
+  // Model::forward copies its input once and moves activations from
+  // there, so layers that work in place (a leading ReLU clamps, Flatten
+  // reshapes) and layers that keep their input (Conv2d, Dense) never touch
+  // the caller's tensor, in training or eval.
+  Rng rng(12);
+  Model relu_first;
+  relu_first.add(std::make_unique<ReLU>())
+      .add(std::make_unique<Flatten>())
+      .add(std::make_unique<Dense>(2 * 3 * 3, 4, rng));
+  Model conv_first;
+  conv_first.add(std::make_unique<Conv2d>(2, 3, 3, 1, 1, rng))
+      .add(std::make_unique<ReLU>())
+      .add(std::make_unique<Flatten>());
+  const Tensor x = Tensor::gaussian({5, 2, 3, 3}, rng);
+  for (Model* model : {&relu_first, &conv_first}) {
+    Tensor input = x;
+    for (const bool train : {true, false}) {
+      const Tensor y = model->forward(input, train);
+      EXPECT_NE(y.data(), input.data());
+      model->backward(Tensor::gaussian(y.shape(), rng));
+      ASSERT_TRUE(input.same_shape(x));
+      EXPECT_EQ(std::memcmp(input.data(), x.data(),
+                            static_cast<std::size_t>(x.numel()) * sizeof(float)),
+                0)
+          << model->summary() << "train=" << train;
+    }
+  }
 }
 
 TEST(ModelTest, SummaryMentionsLayers) {
