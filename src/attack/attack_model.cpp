@@ -65,12 +65,4 @@ double LogisticAttackModel::score(const FeatureRow& row) const {
   return sigmoid(z);
 }
 
-std::vector<double> LogisticAttackModel::score_all(
-    const std::vector<FeatureRow>& rows) const {
-  std::vector<double> out;
-  out.reserve(rows.size());
-  for (const FeatureRow& row : rows) out.push_back(score(row));
-  return out;
-}
-
 }  // namespace dinar::attack

@@ -26,7 +26,6 @@ class LogisticAttackModel {
 
   // P(member) for one row.
   double score(const FeatureRow& row) const;
-  std::vector<double> score_all(const std::vector<FeatureRow>& rows) const;
 
   bool trained() const { return trained_; }
 

@@ -38,8 +38,6 @@ class DinarDefense final : public fl::ClientDefense {
   void save_state(BinaryWriter& w) const override;
   void restore_state(BinaryReader& r) override;
 
-  const std::vector<std::size_t>& protected_layers() const { return protected_layers_; }
-
  private:
   std::vector<std::size_t> protected_layers_;
   // theta_p^* per protected layer, aligned with protected_layers_.

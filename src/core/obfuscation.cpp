@@ -31,12 +31,6 @@ void obfuscate_span_with(std::span<float> values, ObfuscationStrategy strategy,
   }
 }
 
-void obfuscate_tensor(Tensor& t, Rng& rng) { obfuscate_span(t.values(), rng); }
-
-void obfuscate_tensor_with(Tensor& t, ObfuscationStrategy strategy, Rng& rng) {
-  obfuscate_span_with(t.values(), strategy, rng);
-}
-
 void obfuscate_layer_in_snapshot(nn::Model& model, nn::FlatParams& snapshot,
                                  std::size_t layer_index, Rng& rng,
                                  ObfuscationStrategy strategy) {

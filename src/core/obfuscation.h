@@ -34,10 +34,6 @@ void obfuscate_span(std::span<float> values, Rng& rng);
 void obfuscate_span_with(std::span<float> values, ObfuscationStrategy strategy,
                          Rng& rng);
 
-// Tensor conveniences (ablation benches and tests obfuscate lone tensors).
-void obfuscate_tensor(Tensor& t, Rng& rng);
-void obfuscate_tensor_with(Tensor& t, ObfuscationStrategy strategy, Rng& rng);
-
 // Randomizes the entries of layer `layer_index` inside a flat parameter
 // snapshot laid out like `model`'s parameters() (used by the defense's
 // before_upload, which transforms the outgoing copy, never the live

@@ -5,7 +5,7 @@
 // assumes none of these. FaultInjector sits between a payload and its
 // delivery: seeded, per-direction probabilities decide each message's fate
 // (drop, duplicate, byte corruption, extra delay), per-client schedules
-// model permanent crashes and straggler slowdowns, and every injected
+// model permanent crashes and wall-clock stragglers, and every injected
 // fault is counted in FaultStats so experiments can report exactly what
 // the round protocol survived.
 //
@@ -54,11 +54,9 @@ struct FaultConfig {
   double delay_max_seconds = 0.0;
   // client id -> first round at which the client is permanently down.
   std::map<int, std::int64_t> crash_at_round;
-  // client id -> multiplier (> 1) on that client's simulated link latency.
-  std::map<int, double> straggler_factor;
   // client id -> real wall-clock seconds that client's exchange task sleeps
-  // before uploading. Unlike straggler_factor this burns actual time, not
-  // simulated-latency accounting, so it has ZERO effect on any recorded or
+  // before uploading. This burns actual time and never touches the
+  // simulated-latency clock, so it has ZERO effect on any recorded or
   // compared value — bit-identity across thread counts is unaffected. It
   // exists to create a genuine straggler tail for the streaming round
   // engine to overlap (DESIGN.md §13): the fast clients' commits and the
@@ -110,9 +108,6 @@ class FaultInjector {
   // Book-keeping for a contact the simulation suppressed due to a crash.
   void record_crashed_contact() { ++stats_.crashed_contacts; }
 
-  // Latency multiplier for this client's messages (1.0 = no slowdown).
-  double straggler_factor(int client_id) const;
-
   // Real seconds this client's exchange sleeps before its upload (0.0 =
   // none). Wall-clock only; never enters stats or outcomes.
   double straggler_wall_seconds(int client_id) const;
@@ -127,12 +122,6 @@ class FaultInjector {
   // in deterministic order. Thread-safe.
   FaultedDelivery apply(LinkDir dir, int client_id, std::vector<std::uint8_t> payload,
                         FaultStats* sink = nullptr);
-
-  // Legacy single-stream entry point (keyed as client -1, accounting
-  // directly into stats()).
-  FaultedDelivery apply(LinkDir dir, std::vector<std::uint8_t> payload) {
-    return apply(dir, /*client_id=*/-1, std::move(payload), nullptr);
-  }
 
   // Folds deferred per-exchange counters back into the cumulative stats.
   void merge_stats(const FaultStats& delta) { stats_.merge(delta); }

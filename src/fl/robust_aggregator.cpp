@@ -524,11 +524,7 @@ class KrumAggregator final : public RobustAggregator {
     // Tie-break on the index so equal scores select deterministically.
     std::sort(scored_clients.begin(), scored_clients.end());
 
-    std::size_t m = 1;
-    if (multi_) {
-      m = config_.multi_krum_select != 0 ? config_.multi_krum_select : n - f;
-      m = std::max<std::size_t>(1, std::min(m, n));
-    }
+    const std::size_t m = multi_ ? n - f : 1;  // the clamp on f keeps n - f >= 1
 
     ShardSummary summary;
     std::vector<std::size_t> selected;
@@ -623,6 +619,17 @@ RobustAggregateResult RobustAggregator::aggregate(std::span<const ModelUpdateMsg
   return combine(std::span<const ShardSummary>(&summary, 1), global);
 }
 
+namespace {
+
+// Every kind, in registry order: the one list the name lookup, its error
+// message and robust_aggregator_names() all walk.
+constexpr AggregatorKind kKinds[] = {
+    AggregatorKind::kFedAvg,   AggregatorKind::kMedian, AggregatorKind::kTrimmedMean,
+    AggregatorKind::kNormClip, AggregatorKind::kKrum,   AggregatorKind::kMultiKrum,
+};
+
+}  // namespace
+
 const char* to_string(AggregatorKind kind) {
   switch (kind) {
     case AggregatorKind::kFedAvg: return "fedavg";
@@ -637,11 +644,6 @@ const char* to_string(AggregatorKind kind) {
 }
 
 AggregatorKind aggregator_kind_from_name(const std::string& name) {
-  static constexpr AggregatorKind kKinds[] = {
-      AggregatorKind::kFedAvg,   AggregatorKind::kMedian,
-      AggregatorKind::kTrimmedMean, AggregatorKind::kNormClip,
-      AggregatorKind::kKrum,     AggregatorKind::kMultiKrum,
-  };
   for (const AggregatorKind kind : kKinds)
     if (name == to_string(kind)) return kind;
   std::ostringstream os;
@@ -691,7 +693,9 @@ std::unique_ptr<RobustAggregator> make_robust_aggregator(const RobustConfig& con
 }
 
 std::vector<std::string> robust_aggregator_names() {
-  return {"fedavg", "median", "trimmed_mean", "norm_clip", "krum", "multi_krum"};
+  std::vector<std::string> names;
+  for (const AggregatorKind kind : kKinds) names.emplace_back(to_string(kind));
+  return names;
 }
 
 }  // namespace dinar::fl

@@ -93,17 +93,12 @@ struct RobustConfig {
   // krum / multi_krum: the number f of Byzantine clients the scoring
   // assumes; clamped so every client keeps >= 1 scored neighbor. Under
   // sharding the clamp applies per shard (a shard of n members assumes at
-  // most n - 3 Byzantine members).
+  // most n - 3 Byzantine members). multi_krum averages the n - f
+  // best-scored updates.
   std::size_t assumed_byzantine = 0;
-  // multi_krum: how many best-scored updates are averaged (0 = n - f).
-  std::size_t multi_krum_select = 0;
-  // When true the simulation appends the defense bundle's obfuscated
-  // layers to `excluded_tensors`; false reproduces the naive filter (used
-  // by the regression test proving the naive filter quarantines honest
-  // DINAR updates).
-  bool layer_aware = true;
   // Layer-index entry positions excluded from all scoring (see header
-  // comment).
+  // comment). The simulation always appends the defense bundle's
+  // obfuscated layers here.
   std::vector<std::size_t> excluded_tensors;
 };
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <chrono>
+#include <cmath>
 #include <initializer_list>
 #include <map>
 #include <numeric>
@@ -61,11 +62,9 @@ FederatedSimulation::FederatedSimulation(nn::ModelFactory model_factory,
   // honest DINAR client's randomized sensitive layer can never get it
   // quarantined as an attacker.
   RobustConfig robust = config_.robust;
-  if (robust.layer_aware) {
-    for (const std::size_t p : defenses.obfuscated_layers) {
-      const auto [begin, end] = initial.layer_param_span(p);
-      for (std::size_t t = begin; t < end; ++t) robust.excluded_tensors.push_back(t);
-    }
+  for (const std::size_t p : defenses.obfuscated_layers) {
+    const auto [begin, end] = initial.layer_param_span(p);
+    for (std::size_t t = begin; t < end; ++t) robust.excluded_tensors.push_back(t);
   }
   server_->set_aggregator(make_robust_aggregator(robust));
   server_->set_shards(config_.shard);
@@ -126,6 +125,18 @@ void FederatedSimulation::validate_config() const {
   DINAR_CHECK(config_.eval_every >= 0,
               "SimulationConfig.eval_every = " << config_.eval_every
                                                << " is negative");
+  // A federation that cannot train fails here, not silently (zero epochs
+  // upload the broadcast unchanged) or at the first round's batches.
+  DINAR_CHECK(config_.train.epochs > 0,
+              "SimulationConfig.train.epochs = "
+                  << config_.train.epochs
+                  << " — need at least one, or every upload is the broadcast unchanged");
+  DINAR_CHECK(config_.train.batch_size > 0,
+              "SimulationConfig.train.batch_size = " << config_.train.batch_size
+                                                     << " — need at least one sample");
+  DINAR_CHECK(std::isfinite(config_.learning_rate) && config_.learning_rate > 0.0,
+              "SimulationConfig.learning_rate = " << config_.learning_rate
+                                                  << " must be finite and positive");
 
   const auto check_id = [&](int id, const char* what) {
     DINAR_CHECK(id >= 0 && static_cast<std::size_t>(id) < num_clients,

@@ -146,8 +146,8 @@ struct SimulationConfig {
 
   // -- Byzantine robustness ------------------------------------------------
   // Server-side aggregation strategy (robust.method) and its parameters;
-  // the default is plain FedAvg. When robust.layer_aware is true the
-  // defense bundle's obfuscated layers are excluded from outlier scoring.
+  // the default is plain FedAvg. The defense bundle's obfuscated layers
+  // are always excluded from outlier scoring.
   RobustConfig robust;
   // Adversarial clients; the empty default is all-honest.
   AdversaryConfig adversaries;
@@ -325,8 +325,6 @@ class FederatedSimulation {
   nn::Model server_view_of_client(std::size_t i);
   // Clients that uploaded in the most recent round, by index.
   std::vector<std::size_t> last_participants() const;
-  // Fresh model of the simulation's architecture (for shadow training).
-  nn::Model fresh_model(Rng& rng) { return model_factory_(rng); }
   const nn::ModelFactory& model_factory() const { return model_factory_; }
 
   // Metrics (computed on demand).

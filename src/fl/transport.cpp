@@ -48,14 +48,12 @@ std::vector<std::vector<std::uint8_t>> Transport::ship(
   TransportStats& acc = receipt != nullptr ? receipt->transport : stats_;
 
   std::vector<std::vector<std::uint8_t>> copies;
-  double latency_factor = 1.0;
   if (injector_ != nullptr) {
     FaultedDelivery delivery = injector_->apply(
         dir, client_id, frame(payload),
         receipt != nullptr ? &receipt->faults : nullptr);
     copies = std::move(delivery.copies);
     acc.simulated_latency_seconds += delivery.extra_delay_seconds;
-    latency_factor = injector_->straggler_factor(client_id);
   } else {
     copies.push_back(frame(payload));
   }
@@ -70,10 +68,6 @@ std::vector<std::vector<std::uint8_t>> Transport::ship(
       acc.bytes_down += payload_bytes;
       acc.frame_bytes_down += copy.size() - payload_bytes;
     }
-    if (bandwidth_ > 0.0)
-      acc.simulated_latency_seconds +=
-          latency_factor *
-          (per_message_ + static_cast<double>(copy.size()) / bandwidth_);
   }
   return copies;
 }

@@ -3,14 +3,16 @@
 // Messages really are serialized into byte buffers on send and parsed on
 // receive, so (a) traffic accounting reflects genuine payload sizes and
 // (b) nothing can leak between endpoints except through bytes — the same
-// isolation a socket would give. A pluggable per-byte latency model lets
-// cost experiments include simulated network time.
+// isolation a socket would give. There is no per-byte latency model: the
+// simulated-latency clock (TransportStats::simulated_latency_seconds)
+// advances only by injected delay faults and by add_latency (retry
+// backoff), and round deadlines read it.
 //
 // Every payload takes the framed path: ship() wraps it in a checksummed
 // frame (magic + length + XXH64, net/frame.h), routes it through an optional
-// FaultInjector (drop / duplicate / corrupt / delay / straggler slowdown),
-// and open() verifies the frame on receive — so any in-flight corruption
-// is detected instead of silently aggregated.
+// FaultInjector (drop / duplicate / corrupt / delay), and open() verifies
+// the frame on receive — so any in-flight corruption is detected instead
+// of silently aggregated.
 // bytes_up/bytes_down keep counting pure payload bytes (the quantity the
 // cost experiments report); frame overhead is accounted separately.
 #pragma once
@@ -70,10 +72,6 @@ struct ShipReceipt {
 
 class Transport {
  public:
-  // bandwidth_bytes_per_sec <= 0 disables latency simulation.
-  explicit Transport(double bandwidth_bytes_per_sec = 0.0,
-                     double per_message_latency_seconds = 0.0)
-      : bandwidth_(bandwidth_bytes_per_sec), per_message_(per_message_latency_seconds) {}
   virtual ~Transport() = default;
 
   // Attaches a fault injector; subsequent ship() calls suffer its faults.
@@ -125,8 +123,6 @@ class Transport {
   TransportStats& mutable_stats() { return stats_; }
 
  private:
-  double bandwidth_;
-  double per_message_;
   TransportStats stats_;
   std::unique_ptr<FaultInjector> injector_;
 };

@@ -164,7 +164,7 @@ void write_entry_run(BinaryWriter& w, const nn::FlatParams& p, std::size_t i,
 
   WireEncoding enc = codec.encoding;
   bool sparse = codec.topk_fraction < 1.0 && n > 0;
-  if ((e.is_obfuscated && codec.lossless_obfuscated) || codec.lossless()) {
+  if (e.is_obfuscated || codec.lossless()) {
     enc = WireEncoding::kF32;
     sparse = false;
   }

@@ -15,10 +15,10 @@
 // lossless format, 2 bytes per entry over a bare f32 arena. The encoding
 // is chosen PER ENTRY at serialization time, which is what lets
 // compression compose with the DINAR mechanism: entries tagged
-// is_obfuscated carry the privacy-bearing obfuscated layer, and with
-// `lossless_obfuscated` (the default) they are always emitted as dense raw
-// f32 regardless of the configured encoding, so quantization noise never
-// stacks on top of the obfuscation or DP noise the defense calibrated.
+// is_obfuscated carry the privacy-bearing obfuscated layer, and they are
+// always emitted as dense raw f32 regardless of the configured encoding,
+// so quantization noise never stacks on top of the obfuscation or DP
+// noise the defense calibrated. No codec setting turns this off.
 //
 // Sparse runs code DELTAS against a reference snapshot — the round's
 // decoded broadcast — not raw parameters: non-kept coordinates decode to
@@ -62,9 +62,6 @@ struct KindCodec {
   // ties to the lower index); 1.0 = dense. Sparse runs need a reference,
   // so only the update kind may set this below 1.
   double topk_fraction = 1.0;
-  // Emit DINAR-obfuscated entries as dense raw f32 regardless of
-  // `encoding` (keeps the privacy mechanism's noise calibration intact).
-  bool lossless_obfuscated = true;
 
   bool lossless() const {
     return encoding == WireEncoding::kF32 && topk_fraction >= 1.0;

@@ -54,7 +54,7 @@ class Layer {
   // backward() needs, and keeps it until the next training forward:
   //   - Conv2d, Conv1d and Dense keep their input (moved in, not copied);
   //   - ReLU keeps a byte mask of the elements whose gradient it zeroes;
-  //   - Tanh keeps a copy of its output, Dropout its scaled mask;
+  //   - Tanh keeps a copy of its output;
   //   - pooling layers keep their input shape (and argmax indices);
   //   - Flatten keeps its input shape;
   //   - ResidualBlock's inner layers keep theirs.

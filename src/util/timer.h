@@ -19,7 +19,6 @@ class WallTimer {
   double elapsed_seconds() const {
     return std::chrono::duration<double>(Clock::now() - start_).count();
   }
-  double elapsed_millis() const { return elapsed_seconds() * 1e3; }
 
  private:
   using Clock = std::chrono::steady_clock;
@@ -41,9 +40,6 @@ class CumulativeTimer {
 
   double total_seconds() const { return total_seconds_; }
   std::uint64_t intervals() const { return intervals_; }
-  double mean_seconds() const {
-    return intervals_ == 0 ? 0.0 : total_seconds_ / static_cast<double>(intervals_);
-  }
 
  private:
   WallTimer timer_;

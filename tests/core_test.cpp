@@ -188,7 +188,7 @@ TEST(ObfuscationTest, ReplacesValuesScaleMatched) {
   Tensor t = Tensor::gaussian({2000}, init, 0.05f);
   Tensor orig = t;
   Rng rng(12);
-  obfuscate_tensor(t, rng);
+  obfuscate_span(t.values(), rng);
 
   // Values changed...
   std::int64_t unchanged = 0;
@@ -203,7 +203,7 @@ TEST(ObfuscationTest, ReplacesValuesScaleMatched) {
 TEST(ObfuscationTest, ZeroTensorGetsFallbackScale) {
   Tensor t({100});
   Rng rng(13);
-  obfuscate_tensor(t, rng);
+  obfuscate_span(t.values(), rng);
   double sq = 0.0;
   for (float v : t.values()) sq += static_cast<double>(v) * v;
   EXPECT_GT(sq, 0.0);

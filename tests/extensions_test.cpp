@@ -1,5 +1,5 @@
-// Tests for the extension features: loss-threshold MIA, dropout, FL
-// client sampling, and obfuscation strategies.
+// Tests for the extension features: loss-threshold MIA, FL client
+// sampling, and obfuscation strategies.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -9,7 +9,6 @@
 #include "core/dinar.h"
 #include "core/obfuscation.h"
 #include "fl/simulation.h"
-#include "nn/dropout.h"
 #include "opt/optimizers.h"
 #include "test_helpers.h"
 #include "util/error.h"
@@ -58,77 +57,6 @@ TEST(ThresholdMiaTest, EmptyPoolsRejected) {
   data::Dataset d = make_tiny_tabular(50, 8, rng);
   EXPECT_THROW(attack::loss_threshold_attack(target, {}, d), Error);
   EXPECT_THROW(attack::loss_threshold_attack(target, d, {}), Error);
-}
-
-// ----------------------------------------------------------------- dropout --
-
-TEST(DropoutTest, InferenceIsIdentity) {
-  nn::Dropout drop(0.5, Rng(5));
-  Tensor x({100});
-  x.fill(3.0f);
-  Tensor y = drop.forward(x, /*train=*/false);
-  for (float v : y.values()) EXPECT_EQ(v, 3.0f);
-}
-
-TEST(DropoutTest, TrainingZeroesApproximatelyRateFraction) {
-  nn::Dropout drop(0.3, Rng(6));
-  Tensor x({10000});
-  x.fill(1.0f);
-  Tensor y = drop.forward(x, true);
-  std::int64_t zeros = 0;
-  for (float v : y.values()) {
-    if (v == 0.0f)
-      ++zeros;
-    else
-      EXPECT_NEAR(v, 1.0f / 0.7f, 1e-5);  // inverted-dropout scaling
-  }
-  EXPECT_NEAR(static_cast<double>(zeros) / 10000.0, 0.3, 0.03);
-}
-
-TEST(DropoutTest, ExpectationPreserved) {
-  nn::Dropout drop(0.4, Rng(7));
-  Tensor x({20000});
-  x.fill(2.0f);
-  Tensor y = drop.forward(x, true);
-  EXPECT_NEAR(y.sum() / 20000.0, 2.0, 0.1);
-}
-
-TEST(DropoutTest, BackwardUsesSameMask) {
-  nn::Dropout drop(0.5, Rng(8));
-  Tensor x({1000});
-  x.fill(1.0f);
-  Tensor y = drop.forward(x, true);
-  Tensor g({1000});
-  g.fill(1.0f);
-  Tensor dx = drop.backward(g);
-  // Gradient must flow exactly where the forward pass kept activations.
-  for (std::int64_t i = 0; i < 1000; ++i) {
-    if (y.at(i) == 0.0f)
-      EXPECT_EQ(dx.at(i), 0.0f);
-    else
-      EXPECT_NEAR(dx.at(i), 2.0f, 1e-5);
-  }
-}
-
-TEST(DropoutTest, ZeroRateIsPassthrough) {
-  nn::Dropout drop(0.0, Rng(9));
-  Tensor x({10});
-  x.fill(5.0f);
-  Tensor y = drop.forward(x, true);
-  for (float v : y.values()) EXPECT_EQ(v, 5.0f);
-  Tensor dx = drop.backward(y);
-  for (float v : dx.values()) EXPECT_EQ(v, 5.0f);
-}
-
-TEST(DropoutTest, InvalidRateRejected) {
-  EXPECT_THROW(nn::Dropout(1.0, Rng(10)), Error);
-  EXPECT_THROW(nn::Dropout(-0.1, Rng(10)), Error);
-}
-
-TEST(DropoutTest, BackwardWithoutForwardThrows) {
-  nn::Dropout drop(0.5, Rng(11));
-  Tensor g({4});
-  EXPECT_THROW(drop.backward(g), Error);
 }
 
 // --------------------------------------------------------- client sampling --
@@ -202,14 +130,14 @@ TEST(ObfuscationStrategyTest, ZerosZeroes) {
   Rng init(30);
   Tensor t = Tensor::gaussian({100}, init);
   Rng rng(31);
-  core::obfuscate_tensor_with(t, core::ObfuscationStrategy::kZeros, rng);
+  core::obfuscate_span_with(t.values(), core::ObfuscationStrategy::kZeros, rng);
   EXPECT_EQ(t.squared_l2_norm(), 0.0);
 }
 
 TEST(ObfuscationStrategyTest, LargeGaussianHasUnitScale) {
   Tensor t({20000});
   Rng rng(32);
-  core::obfuscate_tensor_with(t, core::ObfuscationStrategy::kLargeGaussian, rng);
+  core::obfuscate_span_with(t.values(), core::ObfuscationStrategy::kLargeGaussian, rng);
   EXPECT_NEAR(std::sqrt(t.squared_l2_norm() / 20000.0), 1.0, 0.05);
 }
 
@@ -218,8 +146,8 @@ TEST(ObfuscationStrategyTest, DefaultMatchesScaledUniform) {
   Tensor a = Tensor::gaussian({500}, init, 0.05f);
   Tensor b = a;
   Rng r1(34), r2(34);
-  core::obfuscate_tensor(a, r1);
-  core::obfuscate_tensor_with(b, core::ObfuscationStrategy::kScaledUniform, r2);
+  core::obfuscate_span(a.values(), r1);
+  core::obfuscate_span_with(b.values(), core::ObfuscationStrategy::kScaledUniform, r2);
   for (std::int64_t i = 0; i < a.numel(); ++i) EXPECT_EQ(a.at(i), b.at(i));
 }
 

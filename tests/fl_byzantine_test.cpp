@@ -776,6 +776,31 @@ TEST(SimulationConfigValidationTest, RejectsOutOfRangeValuesWithNamedErrors) {
   cfg.eval_every = -2;
   EXPECT_NE(construction_error(cfg).find("eval_every"), std::string::npos);
 
+  // A federation that cannot train is rejected up front: zero epochs
+  // would upload the broadcast unchanged every round.
+  for (const int epochs : {0, -1}) {
+    cfg = base;
+    cfg.train.epochs = epochs;
+    EXPECT_NE(construction_error(cfg).find("SimulationConfig.train.epochs"),
+              std::string::npos)
+        << epochs;
+  }
+  for (const std::int64_t batch : {std::int64_t{0}, std::int64_t{-4}}) {
+    cfg = base;
+    cfg.train.batch_size = batch;
+    EXPECT_NE(construction_error(cfg).find("SimulationConfig.train.batch_size"),
+              std::string::npos)
+        << batch;
+  }
+  for (const double lr : {0.0, -1e-3, std::numeric_limits<double>::quiet_NaN(),
+                          std::numeric_limits<double>::infinity()}) {
+    cfg = base;
+    cfg.learning_rate = lr;
+    EXPECT_NE(construction_error(cfg).find("SimulationConfig.learning_rate"),
+              std::string::npos)
+        << lr;
+  }
+
   // A valid config constructs.
   EXPECT_EQ(construction_error(base), "");
 }

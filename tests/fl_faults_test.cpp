@@ -33,7 +33,7 @@ data::FlSplit easy_split(int clients, std::int64_t n, std::uint64_t seed) {
 TEST(FaultInjectorTest, NoFaultsDeliversOneIntactCopy) {
   FaultInjector inj(FaultConfig{});
   const std::vector<std::uint8_t> payload{1, 2, 3, 4};
-  FaultedDelivery d = inj.apply(LinkDir::kUp, payload);
+  FaultedDelivery d = inj.apply(LinkDir::kUp, /*client_id=*/0, payload);
   ASSERT_EQ(d.copies.size(), 1u);
   EXPECT_EQ(d.copies[0], payload);
   EXPECT_EQ(d.extra_delay_seconds, 0.0);
@@ -43,9 +43,9 @@ TEST(FaultInjectorTest, CertainDropDeliversNothing) {
   FaultConfig cfg;
   cfg.drop_up = 1.0;
   FaultInjector inj(cfg);
-  EXPECT_TRUE(inj.apply(LinkDir::kUp, {1, 2, 3}).copies.empty());
+  EXPECT_TRUE(inj.apply(LinkDir::kUp, /*client_id=*/0, {1, 2, 3}).copies.empty());
   // The downlink direction is independent.
-  EXPECT_EQ(inj.apply(LinkDir::kDown, {1, 2, 3}).copies.size(), 1u);
+  EXPECT_EQ(inj.apply(LinkDir::kDown, /*client_id=*/0, {1, 2, 3}).copies.size(), 1u);
   EXPECT_EQ(inj.stats().drops_up, 1u);
   EXPECT_EQ(inj.stats().drops_down, 0u);
 }
@@ -55,7 +55,7 @@ TEST(FaultInjectorTest, CertainDuplicationDeliversTwoCopies) {
   cfg.duplicate_down = 1.0;
   FaultInjector inj(cfg);
   const std::vector<std::uint8_t> payload{9, 9, 9};
-  FaultedDelivery d = inj.apply(LinkDir::kDown, payload);
+  FaultedDelivery d = inj.apply(LinkDir::kDown, /*client_id=*/0, payload);
   ASSERT_EQ(d.copies.size(), 2u);
   EXPECT_EQ(d.copies[0], payload);
   EXPECT_EQ(d.copies[1], payload);
@@ -67,7 +67,7 @@ TEST(FaultInjectorTest, CertainCorruptionChangesBytes) {
   cfg.corrupt_up = 1.0;
   FaultInjector inj(cfg);
   const std::vector<std::uint8_t> payload(64, 0x55);
-  FaultedDelivery d = inj.apply(LinkDir::kUp, payload);
+  FaultedDelivery d = inj.apply(LinkDir::kUp, /*client_id=*/0, payload);
   ASSERT_EQ(d.copies.size(), 1u);
   EXPECT_NE(d.copies[0], payload);
   EXPECT_EQ(d.copies[0].size(), payload.size());
@@ -96,12 +96,12 @@ TEST(FaultInjectorTest, PerRoundStreamIsDeterministic) {
   // b burns unrelated draws in round 1, then both replay round 2: the fate
   // sequences must match because the stream is forked from (seed, round).
   b.begin_round(1);
-  for (int i = 0; i < 17; ++i) b.apply(LinkDir::kUp, {1, 2, 3, 4});
+  for (int i = 0; i < 17; ++i) b.apply(LinkDir::kUp, /*client_id=*/0, {1, 2, 3, 4});
   a.begin_round(2);
   b.begin_round(2);
   for (int i = 0; i < 32; ++i) {
-    FaultedDelivery da = a.apply(LinkDir::kUp, {1, 2, 3, 4});
-    FaultedDelivery db = b.apply(LinkDir::kUp, {1, 2, 3, 4});
+    FaultedDelivery da = a.apply(LinkDir::kUp, /*client_id=*/0, {1, 2, 3, 4});
+    FaultedDelivery db = b.apply(LinkDir::kUp, /*client_id=*/0, {1, 2, 3, 4});
     EXPECT_EQ(da.copies, db.copies);
   }
 }
@@ -110,9 +110,6 @@ TEST(FaultInjectorTest, RejectsBadProbabilities) {
   FaultConfig cfg;
   cfg.drop_up = 1.5;
   EXPECT_THROW(FaultInjector{cfg}, Error);
-  FaultConfig slow;
-  slow.straggler_factor[0] = 0.5;  // a speedup is not a straggler
-  EXPECT_THROW(FaultInjector{slow}, Error);
 }
 
 // ------------------------------------------------------------ frame + ship --
@@ -165,22 +162,6 @@ TEST(TransportShipTest, DropsAndDuplicatesAreAccounted) {
   EXPECT_EQ(t.stats().messages_down, 2u);  // the duplicate is real traffic
   EXPECT_EQ(t.faults()->stats().drops_up, 1u);
   EXPECT_EQ(t.faults()->stats().duplicates_down, 1u);
-}
-
-TEST(TransportShipTest, StragglerFactorScalesSimulatedLatency) {
-  FaultConfig cfg;
-  cfg.straggler_factor[0] = 2.0;
-
-  Transport fast(/*bandwidth_bytes_per_sec=*/1000.0, /*per_message=*/0.01);
-  fast.enable_faults(cfg);
-  fast.ship(LinkDir::kUp, /*client_id=*/1, std::vector<std::uint8_t>(80, 0));
-  const double base = fast.stats().simulated_latency_seconds;
-  EXPECT_GT(base, 0.0);
-
-  Transport slow(1000.0, 0.01);
-  slow.enable_faults(cfg);
-  slow.ship(LinkDir::kUp, /*client_id=*/0, std::vector<std::uint8_t>(80, 0));
-  EXPECT_NEAR(slow.stats().simulated_latency_seconds, 2.0 * base, 1e-12);
 }
 
 // --------------------------------------------------------- server hardening --

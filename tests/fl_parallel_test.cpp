@@ -390,7 +390,6 @@ SimulationConfig gauntlet_config(unsigned threads, std::size_t num_shards = 1) {
   cfg.faults.delay_prob = 0.2;
   cfg.faults.delay_max_seconds = 0.5;
   cfg.faults.crash_at_round[2] = 4;
-  cfg.faults.straggler_factor[3] = 2.0;
   // Real (tiny) wall-clock stragglers: their exchanges finish last, so in
   // stream mode every other client's commit overlaps their sleep. Zero
   // effect on any compared value.

@@ -143,23 +143,38 @@ TEST(TransportTest, CountsBytesAndMessages) {
   EXPECT_EQ(t.stats().bytes_up, 0u);
 }
 
-TEST(TransportTest, LatencyModelAccumulates) {
-  Transport t(/*bandwidth_bytes_per_sec=*/1000.0, /*per_message=*/0.01);
-  t.ship(LinkDir::kUp, 0, std::vector<std::uint8_t>(500, 0));
-  // Latency is charged on the framed size: payload plus frame header.
-  const double framed = 500.0 + static_cast<double>(t.stats().frame_bytes_up);
-  EXPECT_NEAR(t.stats().simulated_latency_seconds, 0.01 + framed / 1000.0, 1e-9);
-}
+TEST(TransportTest, ShipAdvancesLatencyClockOnlyByDelayFaults) {
+  // Fault-free, and under every fault except delay: bytes cost no time.
+  Transport plain;
+  Transport faulty;
+  FaultConfig lossy;
+  lossy.drop_down = 0.5;
+  lossy.duplicate_up = 1.0;
+  lossy.corrupt_up = 0.5;
+  faulty.enable_faults(lossy);
+  for (Transport* t : {&plain, &faulty}) {
+    for (int client = 0; client < 8; ++client) {
+      t->ship(LinkDir::kUp, client, std::vector<std::uint8_t>(4096, 0));
+      t->ship(LinkDir::kDown, client, std::vector<std::uint8_t>(4096, 0));
+    }
+    EXPECT_GT(t->stats().bytes_up, 0u);
+    EXPECT_EQ(t->stats().simulated_latency_seconds, 0.0);
+  }
 
-TEST(TransportTest, ZeroBandwidthDisablesLatencySimulation) {
-  Transport t;  // bandwidth 0 = latency model off
-  t.ship(LinkDir::kUp, 0, std::vector<std::uint8_t>(4096, 0));
-  t.ship(LinkDir::kDown, 0, std::vector<std::uint8_t>(4096, 0));
-  EXPECT_EQ(t.stats().simulated_latency_seconds, 0.0);
+  // A delay fault is what moves the clock, by exactly the injected delay.
+  Transport delayed;
+  FaultConfig delay;
+  delay.delay_prob = 1.0;
+  delay.delay_max_seconds = 0.5;
+  delayed.enable_faults(delay);
+  delayed.ship(LinkDir::kUp, 0, std::vector<std::uint8_t>(4096, 0));
+  EXPECT_GT(delayed.stats().simulated_latency_seconds, 0.0);
+  EXPECT_EQ(delayed.stats().simulated_latency_seconds,
+            delayed.faults()->stats().injected_delay_seconds);
 }
 
 TEST(TransportTest, ResetStatsClearsEveryCounter) {
-  Transport t(/*bandwidth_bytes_per_sec=*/1000.0, /*per_message=*/0.01);
+  Transport t;
   t.ship(LinkDir::kUp, 0, std::vector<std::uint8_t>(64, 0));
   t.ship(LinkDir::kDown, 0, std::vector<std::uint8_t>(64, 0));
   t.add_latency(1.0);

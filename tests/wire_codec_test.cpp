@@ -49,12 +49,10 @@ void expect_bitwise_equal(const nn::FlatParams& a, const nn::FlatParams& b) {
             0);
 }
 
-fl::KindCodec codec_of(fl::WireEncoding e, double topk = 1.0,
-                       bool lossless_obfuscated = true) {
+fl::KindCodec codec_of(fl::WireEncoding e, double topk = 1.0) {
   fl::KindCodec c;
   c.encoding = e;
   c.topk_fraction = topk;
-  c.lossless_obfuscated = lossless_obfuscated;
   return c;
 }
 
@@ -253,14 +251,15 @@ TEST(WireCodecTest, ObfuscatedEntriesStayLosslessByDefault) {
             0);
   EXPECT_TRUE(keep.params.index()->entry(1).is_obfuscated);
 
-  // Opting out quantizes the obfuscated entry too.
-  const auto lossy = fl::ModelUpdateMsg::deserialize(u.serialize(
-      codec_of(fl::WireEncoding::kInt8, 1.0, /*lossless_obfuscated=*/false),
-      nullptr));
-  EXPECT_NE(std::memcmp(lossy.params.entry_span(1).data(),
-                        p.entry_span(1).data(),
-                        p.entry_span(1).size() * sizeof(float)),
-            0);
+  // No encoding reaches the obfuscated entry.
+  for (const fl::WireEncoding e : {fl::WireEncoding::kF16, fl::WireEncoding::kBf16}) {
+    const auto back =
+        fl::ModelUpdateMsg::deserialize(u.serialize(codec_of(e), nullptr));
+    EXPECT_EQ(std::memcmp(back.params.entry_span(1).data(), p.entry_span(1).data(),
+                          p.entry_span(1).size() * sizeof(float)),
+              0)
+        << fl::wire_encoding_name(e);
+  }
 }
 
 // -------------------------------------------------------- sparse (top-k) --
