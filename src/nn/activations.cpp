@@ -1,8 +1,8 @@
 #include "nn/activations.h"
 
-#include <cmath>
 #include <utility>
 
+#include "nn/tanh_kernels.h"
 #include "util/error.h"
 
 namespace dinar::nn {
@@ -43,7 +43,7 @@ Tensor ReLU::backward(Tensor grad_out) {
 std::unique_ptr<Layer> ReLU::clone() const { return std::make_unique<ReLU>(*this); }
 
 Tensor Tanh::forward(Tensor x, bool train) {
-  for (float& v : x.values()) v = std::tanh(v);
+  detail::tanh_kernel()(x.data(), static_cast<std::size_t>(x.numel()));
   if (train) cached_output_ = x;
   return x;
 }

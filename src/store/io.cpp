@@ -4,6 +4,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <array>
 #include <cerrno>
 #include <cstdio>
@@ -40,6 +41,13 @@ std::uint32_t load_le32(const std::uint8_t* p) {
          static_cast<std::uint32_t>(p[2]) << 16 | static_cast<std::uint32_t>(p[3]) << 24;
 }
 
+// A tier's register update wrapped into crc32()'s signature: the register
+// starts at the inverted seed and is inverted again at the end.
+template <std::uint32_t (*Update)(std::uint32_t, const std::uint8_t*, std::size_t)>
+std::uint32_t crc32_with(const void* data, std::size_t n, std::uint32_t seed) {
+  return Update(seed ^ 0xFFFFFFFFu, static_cast<const std::uint8_t*>(data), n) ^ 0xFFFFFFFFu;
+}
+
 // RAII fd that never throws from its destructor.
 struct Fd {
   int fd = -1;
@@ -67,10 +75,10 @@ void write_all(int fd, const std::uint8_t* data, std::size_t n, const std::strin
 
 }  // namespace
 
-std::uint32_t crc32(const void* data, std::size_t n, std::uint32_t seed) {
+namespace detail {
+
+std::uint32_t crc32_update_slice8(std::uint32_t c, const std::uint8_t* p, std::size_t n) {
   static const CrcTables t = make_crc_tables();
-  std::uint32_t c = seed ^ 0xFFFFFFFFu;
-  const auto* p = static_cast<const std::uint8_t*>(data);
   for (; n >= 8; p += 8, n -= 8) {
     const std::uint32_t lo = load_le32(p) ^ c;
     const std::uint32_t hi = load_le32(p + 4);
@@ -79,7 +87,32 @@ std::uint32_t crc32(const void* data, std::size_t n, std::uint32_t seed) {
         t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
   }
   for (; n > 0; ++p, --n) c = t[0][(c ^ *p) & 0xFFu] ^ (c >> 8);
-  return c ^ 0xFFFFFFFFu;
+  return c;
+}
+
+}  // namespace detail
+
+Crc32Fn crc32_kernel(Crc32Kernel kernel) {
+  switch (kernel) {
+    case Crc32Kernel::kSlice8:
+      return crc32_with<detail::crc32_update_slice8>;
+    case Crc32Kernel::kPclmul:
+#if DINAR_CRC_HAVE_PCLMUL
+      __builtin_cpu_init();
+      return __builtin_cpu_supports("pclmul") != 0 ? crc32_with<detail::crc32_update_pclmul>
+                                                   : nullptr;
+#else
+      return nullptr;
+#endif
+  }
+  return nullptr;
+}
+
+std::uint32_t crc32(const void* data, std::size_t n, std::uint32_t seed) {
+  static const Crc32Fn fn = crc32_kernel(Crc32Kernel::kPclmul) != nullptr
+                                ? crc32_kernel(Crc32Kernel::kPclmul)
+                                : crc32_kernel(Crc32Kernel::kSlice8);
+  return fn(data, n, seed);
 }
 
 std::optional<std::vector<std::uint8_t>> read_file(const std::string& path) {
@@ -88,17 +121,23 @@ std::optional<std::vector<std::uint8_t>> read_file(const std::string& path) {
     if (errno == ENOENT) return std::nullopt;
     DINAR_CHECK(false, "cannot open " << path << ": " << std::strerror(errno));
   }
-  std::vector<std::uint8_t> bytes;
-  std::array<std::uint8_t, 1 << 16> buf;
+  struct stat st;
+  DINAR_CHECK(::fstat(f.fd, &st) == 0, "cannot stat " << path << ": " << std::strerror(errno));
+  // Read in place into a buffer sized from fstat, with one spare byte for
+  // the read that sees EOF; a file that grew since fstat is read on.
+  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(st.st_size) + 1);
+  std::size_t size = 0;
   for (;;) {
-    const ssize_t r = ::read(f.fd, buf.data(), buf.size());
+    if (size == bytes.size()) bytes.resize(std::max<std::size_t>(2 * size, 1 << 16));
+    const ssize_t r = ::read(f.fd, bytes.data() + size, bytes.size() - size);
     if (r < 0) {
       if (errno == EINTR) continue;
       DINAR_CHECK(false, "read from " << path << " failed: " << std::strerror(errno));
     }
     if (r == 0) break;
-    bytes.insert(bytes.end(), buf.data(), buf.data() + r);
+    size += static_cast<std::size_t>(r);
   }
+  bytes.resize(size);
   return bytes;
 }
 

@@ -24,9 +24,30 @@
 namespace dinar::store {
 
 // CRC-32 (IEEE 802.3, reflected 0xEDB88320), the classic log-record
-// checksum, computed slice-by-8 (values identical to the bytewise table
-// loop). `seed` chains multi-buffer checksums: pass a previous result.
+// checksum. `seed` chains multi-buffer checksums: pass a previous result.
+// Runs the widest tier the build and host offer; every tier returns the
+// values of the bytewise table loop, so no checksum on disk depends on it.
 std::uint32_t crc32(const void* data, std::size_t n, std::uint32_t seed = 0);
+
+// CRC-32 tiers, narrowest first:
+//   - kSlice8: eight table lookups per eight bytes, always compiled;
+//   - kPclmul: folds 64-byte blocks with carry-less multiplies
+//     (PCLMULQDQ), compiled when DINAR_SIMD=ON on x86-64 and run when
+//     the host has the instruction.
+enum class Crc32Kernel : std::uint8_t { kSlice8, kPclmul };
+using Crc32Fn = std::uint32_t (*)(const void* data, std::size_t n, std::uint32_t seed);
+
+// The tier's checksum, with crc32()'s signature, or nullptr when the tier
+// is not compiled in or the host cannot run it.
+Crc32Fn crc32_kernel(Crc32Kernel kernel);
+
+namespace detail {
+// Advance a raw CRC-32 register (seed already inverted) over n bytes.
+std::uint32_t crc32_update_slice8(std::uint32_t c, const std::uint8_t* p, std::size_t n);
+#if DINAR_CRC_HAVE_PCLMUL
+std::uint32_t crc32_update_pclmul(std::uint32_t c, const std::uint8_t* p, std::size_t n);
+#endif
+}  // namespace detail
 
 // Reads a whole file; std::nullopt if it does not exist. Throws on other
 // I/O errors.

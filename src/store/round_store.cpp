@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <utility>
 
 #include "store/io.h"
 #include "util/crashpoint.h"
@@ -32,9 +33,10 @@ std::vector<std::uint8_t> frame_snapshot(std::int64_t round,
 }
 
 // Validates a snapshot file's framing + CRC; nullopt on any mismatch
-// (treated as a torn/corrupt snapshot, not an error).
-std::optional<std::vector<std::uint8_t>> unframe_snapshot(
-    const std::vector<std::uint8_t>& bytes, std::int64_t expect_round) {
+// (treated as a torn/corrupt snapshot, not an error). The payload is
+// returned in the file's own buffer, with the header erased.
+std::optional<std::vector<std::uint8_t>> unframe_snapshot(std::vector<std::uint8_t> bytes,
+                                                          std::int64_t expect_round) {
   if (bytes.size() < kSnapHeaderBytes) return std::nullopt;
   std::uint32_t magic, version, crc;
   std::int64_t round;
@@ -48,7 +50,8 @@ std::optional<std::vector<std::uint8_t>> unframe_snapshot(
   if (round != expect_round) return std::nullopt;
   if (len != bytes.size() - kSnapHeaderBytes) return std::nullopt;
   if (crc32(bytes.data() + kSnapHeaderBytes, len) != crc) return std::nullopt;
-  return std::vector<std::uint8_t>(bytes.begin() + kSnapHeaderBytes, bytes.end());
+  bytes.erase(bytes.begin(), bytes.begin() + kSnapHeaderBytes);
+  return bytes;
 }
 
 }  // namespace
@@ -101,9 +104,9 @@ void RoundStore::install_snapshot(std::int64_t round,
 RoundStore::Recovered RoundStore::recover() const {
   Recovered out;
   for (const std::int64_t round : snapshot_rounds()) {
-    const auto bytes = read_file(snapshot_path(round));
+    auto bytes = read_file(snapshot_path(round));
     if (!bytes.has_value()) continue;
-    auto payload = unframe_snapshot(*bytes, round);
+    auto payload = unframe_snapshot(std::move(*bytes), round);
     if (!payload.has_value()) {
       ++out.snapshots_rejected;  // torn or bit-rotted: fall back to older
       continue;

@@ -83,28 +83,78 @@ std::vector<std::uint8_t> pseudo_random_bytes(std::size_t n) {
   return bytes;
 }
 
+// The tiers this build and host can run; slice-by-8 always.
+std::vector<std::pair<const char*, store::Crc32Fn>> crc_tiers() {
+  std::vector<std::pair<const char*, store::Crc32Fn>> tiers = {
+      {"slice8", store::crc32_kernel(store::Crc32Kernel::kSlice8)}};
+  if (const store::Crc32Fn f = store::crc32_kernel(store::Crc32Kernel::kPclmul))
+    tiers.emplace_back("pclmul", f);
+  return tiers;
+}
+
 TEST(Crc32Test, MatchesBytewiseOracleAtEveryLengthAndAlignment) {
-  const std::vector<std::uint8_t> bytes = pseudo_random_bytes(64 + 8);
-  for (std::size_t offset = 0; offset < 8; ++offset) {
-    for (std::size_t n = 0; n <= 64; ++n) {
-      const std::uint8_t* p = bytes.data() + offset;
-      EXPECT_EQ(store::crc32(p, n), bytewise_crc32(p, n))
-          << "offset " << offset << " length " << n;
-      EXPECT_EQ(store::crc32(p, n, 0xDEADBEEFu), bytewise_crc32(p, n, 0xDEADBEEFu))
-          << "seeded, offset " << offset << " length " << n;
+  // Past 4 x 64 bytes, so the folding tier runs its 64-byte loop, its
+  // 16-byte loop and every tail length.
+  const std::vector<std::uint8_t> bytes = pseudo_random_bytes(300 + 8);
+  for (const auto& [name, crc] : crc_tiers()) {
+    for (std::size_t offset = 0; offset < 8; ++offset) {
+      for (std::size_t n = 0; n <= 300; ++n) {
+        const std::uint8_t* p = bytes.data() + offset;
+        EXPECT_EQ(crc(p, n, 0), bytewise_crc32(p, n))
+            << name << ", offset " << offset << " length " << n;
+        EXPECT_EQ(crc(p, n, 0xDEADBEEFu), bytewise_crc32(p, n, 0xDEADBEEFu))
+            << name << ", seeded, offset " << offset << " length " << n;
+      }
     }
   }
 }
 
 TEST(Crc32Test, SeedChainsAcrossEverySplitPoint) {
-  const std::vector<std::uint8_t> bytes = pseudo_random_bytes(100);
+  const std::vector<std::uint8_t> bytes = pseudo_random_bytes(200);
   const std::uint32_t whole = bytewise_crc32(bytes.data(), bytes.size());
-  EXPECT_EQ(store::crc32(bytes.data(), bytes.size()), whole);
-  for (std::size_t split = 0; split <= bytes.size(); ++split) {
-    const std::uint32_t head = store::crc32(bytes.data(), split);
-    EXPECT_EQ(store::crc32(bytes.data() + split, bytes.size() - split, head), whole)
-        << "split at " << split;
+  for (const auto& [name, crc] : crc_tiers()) {
+    EXPECT_EQ(crc(bytes.data(), bytes.size(), 0), whole) << name;
+    for (std::size_t split = 0; split <= bytes.size(); ++split) {
+      const std::uint32_t head = crc(bytes.data(), split, 0);
+      EXPECT_EQ(crc(bytes.data() + split, bytes.size() - split, head), whole)
+          << name << ", split at " << split;
+    }
   }
+}
+
+TEST(Crc32Test, MatchesBytewiseOracleAtFoldEdgesAndOnAMegabyte) {
+  const std::vector<std::uint8_t> bytes = pseudo_random_bytes(1 << 20);
+  for (const auto& [name, crc] : crc_tiers()) {
+    for (std::size_t n : {15u, 16u, 17u, 63u, 64u, 65u, 127u, 128u, 129u, 191u, 192u, 193u,
+                          1u << 20})
+      EXPECT_EQ(crc(bytes.data(), n, 0), bytewise_crc32(bytes.data(), n))
+          << name << ", length " << n;
+  }
+}
+
+// Checksums already on disk: a tier that changes one fails here by name.
+TEST(Crc32Test, GoldenValuesOfFixedBuffers) {
+  const std::vector<std::uint8_t> zeros(1000, 0);
+  std::vector<std::uint8_t> ramp(4096);
+  for (std::size_t i = 0; i < ramp.size(); ++i) ramp[i] = static_cast<std::uint8_t>(i * 31 + 7);
+  const std::vector<std::uint8_t> noise = pseudo_random_bytes(777);
+  for (const auto& [name, crc] : crc_tiers()) {
+    EXPECT_EQ(crc(zeros.data(), zeros.size(), 0), 0x060B1780u) << name;
+    EXPECT_EQ(crc(ramp.data(), ramp.size(), 0), 0x5D1C4EE3u) << name;
+    EXPECT_EQ(crc(noise.data(), noise.size(), 0), 0x80A3A8CBu) << name;
+  }
+}
+
+TEST(Crc32Test, PclmulTierMatchesSlice8OnLargeUnalignedBuffers) {
+  const store::Crc32Fn pclmul = store::crc32_kernel(store::Crc32Kernel::kPclmul);
+  if (pclmul == nullptr) GTEST_SKIP() << "PCLMULQDQ CRC-32 tier not available on this build/host";
+  const store::Crc32Fn slice8 = store::crc32_kernel(store::Crc32Kernel::kSlice8);
+  const std::vector<std::uint8_t> bytes = pseudo_random_bytes((1 << 20) + 64);
+  for (std::size_t offset = 0; offset < 16; ++offset)
+    for (std::size_t n : {(1u << 20) - 1, (1u << 20) + 15, (1u << 20) + 48})
+      EXPECT_EQ(pclmul(bytes.data() + offset, n, 0x1234u),
+                slice8(bytes.data() + offset, n, 0x1234u))
+          << "offset " << offset << " length " << n;
 }
 
 // -------------------------------------------------------- atomic_write_file --
@@ -122,6 +172,19 @@ TEST(AtomicWriteTest, ReplacesContentAndLeavesNoTemp) {
 
 TEST(AtomicWriteTest, MissingFileReadsAsNullopt) {
   EXPECT_FALSE(store::read_file(fresh_dir("missing") + "/nope").has_value());
+}
+
+TEST(ReadFileTest, RoundTripsAtChunkAndPageEdges) {
+  const std::string dir = fresh_dir("read_file");
+  for (std::size_t n : {0u, 1u, 65535u, 65536u, 65537u, (1u << 20) + 3}) {
+    const std::string path = dir + "/f" + std::to_string(n);
+    const std::vector<std::uint8_t> bytes = pseudo_random_bytes(n);
+    store::atomic_write_file(path, bytes);
+    const auto got = store::read_file(path);
+    ASSERT_TRUE(got.has_value()) << n;
+    EXPECT_EQ(*got, bytes) << "size " << n;
+  }
+  EXPECT_FALSE(store::read_file(dir + "/missing").has_value());
 }
 
 // ------------------------------------------------------------------- WAL ----
