@@ -77,7 +77,7 @@ void FlClient::restore_state(BinaryReader& r) {
   last_stats_.accuracy = r.read_f64();
   last_stats_.steps = r.read_i64();
   rng_.restore_state(r);
-  model_.set_parameters(nn::read_flat_params(r));
+  nn::read_flat_params_into(r, model_);
   const std::string defense_name = r.read_string();
   DINAR_CHECK(defense_name == defense_->name(),
               "client " << id_ << " state was saved with defense '" << defense_name

@@ -4,6 +4,7 @@
 #include <bit>
 #include <chrono>
 #include <cmath>
+#include <cstring>
 #include <initializer_list>
 #include <map>
 #include <numeric>
@@ -808,16 +809,19 @@ bool FederatedSimulation::apply_wal_record(BinaryReader& r) {
                                            << server_->round());
 
   if (r.read_u8() != 0) {
-    std::vector<float> delta;
-    r.read_f32_span(delta);
+    // The delta is XORed in from the record's own bytes (unaligned, so
+    // each word is loaded with memcpy), never copied out first.
+    const std::uint64_t n = r.read_length(sizeof(float));
     nn::FlatParams global = server_->global_params();
     const std::span<float> g = global.as_span();
-    DINAR_CHECK(delta.size() == g.size(),
-                "WAL round " << out.round << " delta has " << delta.size()
-                             << " floats, arena has " << g.size());
-    for (std::size_t i = 0; i < g.size(); ++i)
-      g[i] = std::bit_cast<float>(std::bit_cast<std::uint32_t>(g[i]) ^
-                                  std::bit_cast<std::uint32_t>(delta[i]));
+    DINAR_CHECK(n == g.size(), "WAL round " << out.round << " delta has " << n
+                                            << " floats, arena has " << g.size());
+    const std::uint8_t* delta = r.read_raw(n * sizeof(float));
+    for (std::size_t i = 0; i < g.size(); ++i) {
+      std::uint32_t d;
+      std::memcpy(&d, delta + i * sizeof(float), sizeof d);
+      g[i] = std::bit_cast<float>(std::bit_cast<std::uint32_t>(g[i]) ^ d);
+    }
     server_->restore(out.round + 1, std::move(global));
   } else {
     server_->carry_forward();
@@ -861,31 +865,56 @@ void FederatedSimulation::read_counters(BinaryReader& r) {
 std::int64_t FederatedSimulation::recover_from_store() {
   DINAR_CHECK(store_ != nullptr, "recover_from_store() without attach_store()");
   invalidate_prefetch();
-  const store::RoundStore::Recovered rec = store_->recover();
-
-  if (rec.snapshot.has_value()) {
-    BinaryReader r(*rec.snapshot);
-    restore_full_state(r);
-  }
-
-  // Replay the longest valid WAL prefix. A malformed record (bit flip that
-  // survived CRC, version skew) or a round gap throws — recovery keeps the
-  // prefix before it rather than crashing.
   std::int64_t replayed = 0;
-  for (const std::vector<std::uint8_t>& bytes : rec.wal_records) {
-    try {
-      BinaryReader r(bytes);
-      const bool is_round =
-          !bytes.empty() &&
-          bytes[0] == static_cast<std::uint8_t>(WalRecordKind::kRoundCommit);
-      if (apply_wal_record(r) && is_round) ++replayed;
-    } catch (const Error& e) {
-      DINAR_INFO << "WAL replay stopped: " << e.what();
-      break;
+  {
+    // The snapshot and the records are views into the store's read-only
+    // mappings, parsed in place. They are dropped at the end of this
+    // scope, before the eval append below writes to the store.
+    const store::RoundStore::Recovered rec = store_->recover();
+    // Where replay restarts if a record fails part-way through: the
+    // snapshot, or without one the state recovery began from.
+    std::vector<std::uint8_t> origin;
+    if (rec.snapshot.has_value()) {
+      BinaryReader r(*rec.snapshot);
+      restore_full_state(r);
+    } else if (!rec.wal_records.empty()) {
+      BinaryWriter w;
+      save_full_state(w);
+      origin = w.take();
     }
-  }
-  if (rec.wal_tail_discarded) {
-    DINAR_INFO << "WAL torn tail discarded";
+    // Replays records [0, count); returns the index of the first one that
+    // throws (a bit flip that survived the CRC, version skew, a round gap),
+    // or count.
+    const auto replay = [&](std::size_t count) {
+      replayed = 0;
+      for (std::size_t k = 0; k < count; ++k) {
+        const std::span<const std::uint8_t> bytes = rec.wal_records[k];
+        try {
+          BinaryReader r(bytes);
+          const bool is_round =
+              !bytes.empty() &&
+              bytes[0] == static_cast<std::uint8_t>(WalRecordKind::kRoundCommit);
+          if (apply_wal_record(r) && is_round) ++replayed;
+        } catch (const Error& e) {
+          DINAR_INFO << "WAL replay stopped: " << e.what();
+          return k;
+        }
+      }
+      return count;
+    };
+    // Replay the longest valid WAL prefix. A record that throws may have
+    // patched part of the state already, so recovery rewinds and replays
+    // only the records before it rather than crashing.
+    const std::size_t valid = replay(rec.wal_records.size());
+    if (valid < rec.wal_records.size()) {
+      BinaryReader r(rec.snapshot.has_value() ? *rec.snapshot
+                                              : std::span<const std::uint8_t>(origin));
+      restore_full_state(r);
+      replay(valid);
+    }
+    if (rec.wal_tail_discarded) {
+      DINAR_INFO << "WAL torn tail discarded";
+    }
   }
 
   // A crash between the round commit and its eval append loses the eval

@@ -168,6 +168,30 @@ void Model::set_parameters(const FlatParams& params) {
       static_cast<std::size_t>(params.numel()) * sizeof(float));
 }
 
+void read_flat_params_into(BinaryReader& r, Model& model) {
+  const std::shared_ptr<const LayerIndex> index = read_layer_index(r);
+  const std::shared_ptr<const LayerIndex> own = model.layer_index();
+  DINAR_CHECK(own->same_layout(*index),
+              "flat params record does not fit the model: "
+                  << index->total_numel() << " elements across " << index->num_entries()
+                  << " entries, model has " << own->total_numel() << " across "
+                  << own->num_entries());
+  const std::uint64_t n = r.read_length(sizeof(float));
+  DINAR_CHECK(n == static_cast<std::uint64_t>(own->total_numel()),
+              "flat params payload has " << n << " floats, index expects "
+                                         << own->total_numel());
+  const std::uint8_t* src = r.read_raw(n * sizeof(float));
+  std::size_t e = 0;
+  for (const ParamGroup& g : model.param_layers()) {
+    for (Tensor* t : g.params) {
+      const LayerEntry& entry = own->entry(e++);
+      std::memcpy(t->data(), src + static_cast<std::size_t>(entry.offset) * sizeof(float),
+                  static_cast<std::size_t>(entry.numel) * sizeof(float));
+    }
+  }
+  MemoryTracker::instance().record_copy(n * sizeof(float));
+}
+
 FlatParams Model::layer_parameters(std::size_t layer_index) {
   ensure_registry();
   DINAR_CHECK(layer_index < groups_.size(),

@@ -106,4 +106,11 @@ class Model {
   std::vector<std::shared_ptr<const LayerIndex>> layer_indices_;
 };
 
+// Reads one write_flat_params() record (nn/flat_params.h) straight into
+// `model`'s parameter tensors, with no FlatParams in between. The record's
+// layer index must have the model's layout (same_layout) and its payload
+// exactly the model's float count; any mismatch or short buffer throws
+// dinar::Error before a single tensor is written.
+void read_flat_params_into(BinaryReader& r, Model& model);
+
 }  // namespace dinar::nn

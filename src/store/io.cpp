@@ -1,15 +1,16 @@
 #include "store/io.h"
 
 #include <fcntl.h>
+#include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <array>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <utility>
 
 #include "util/crashpoint.h"
 #include "util/error.h"
@@ -115,7 +116,7 @@ std::uint32_t crc32(const void* data, std::size_t n, std::uint32_t seed) {
   return fn(data, n, seed);
 }
 
-std::optional<std::vector<std::uint8_t>> read_file(const std::string& path) {
+std::optional<MappedFile> MappedFile::open(const std::string& path) {
   Fd f{::open(path.c_str(), O_RDONLY | O_CLOEXEC)};
   if (f.fd < 0) {
     if (errno == ENOENT) return std::nullopt;
@@ -123,22 +124,31 @@ std::optional<std::vector<std::uint8_t>> read_file(const std::string& path) {
   }
   struct stat st;
   DINAR_CHECK(::fstat(f.fd, &st) == 0, "cannot stat " << path << ": " << std::strerror(errno));
-  // Read in place into a buffer sized from fstat, with one spare byte for
-  // the read that sees EOF; a file that grew since fstat is read on.
-  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(st.st_size) + 1);
-  std::size_t size = 0;
-  for (;;) {
-    if (size == bytes.size()) bytes.resize(std::max<std::size_t>(2 * size, 1 << 16));
-    const ssize_t r = ::read(f.fd, bytes.data() + size, bytes.size() - size);
-    if (r < 0) {
-      if (errno == EINTR) continue;
-      DINAR_CHECK(false, "read from " << path << " failed: " << std::strerror(errno));
-    }
-    if (r == 0) break;
-    size += static_cast<std::size_t>(r);
-  }
-  bytes.resize(size);
-  return bytes;
+  const auto size = static_cast<std::size_t>(st.st_size);
+  if (size == 0) return MappedFile(nullptr, 0);  // mmap refuses a zero length
+  void* p = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE | MAP_POPULATE, f.fd, 0);
+  DINAR_CHECK(p != MAP_FAILED, "cannot map " << path << ": " << std::strerror(errno));
+  return MappedFile(static_cast<const std::uint8_t*>(p), size);
+}
+
+MappedFile::MappedFile(MappedFile&& other) noexcept
+    : data_(std::exchange(other.data_, nullptr)), size_(std::exchange(other.size_, 0)) {}
+
+MappedFile& MappedFile::operator=(MappedFile&& other) noexcept {
+  std::swap(data_, other.data_);  // `other` unmaps what this held
+  std::swap(size_, other.size_);
+  return *this;
+}
+
+MappedFile::~MappedFile() {
+  if (data_ != nullptr) ::munmap(const_cast<std::uint8_t*>(data_), size_);
+}
+
+std::optional<std::vector<std::uint8_t>> read_file(const std::string& path) {
+  const std::optional<MappedFile> file = MappedFile::open(path);
+  if (!file.has_value()) return std::nullopt;
+  const std::span<const std::uint8_t> bytes = file->bytes();
+  return std::vector<std::uint8_t>(bytes.begin(), bytes.end());
 }
 
 void fsync_parent_dir(const std::string& path) {

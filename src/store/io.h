@@ -49,8 +49,38 @@ std::uint32_t crc32_update_pclmul(std::uint32_t c, const std::uint8_t* p, std::s
 #endif
 }  // namespace detail
 
-// Reads a whole file; std::nullopt if it does not exist. Throws on other
-// I/O errors.
+// A whole file mapped read-only (PROT_READ, MAP_PRIVATE | MAP_POPULATE):
+// recovery parses snapshots and WAL records where they lie in the page
+// cache instead of copying them into fresh memory first. Move-only; the
+// destructor unmaps. bytes() views the file as it was when open() ran.
+//
+// Lifetime: a view into bytes() lives only as long as its MappedFile. Drop
+// the mapping before anything in this process truncates the file — reading
+// a page past the new end of a mapped file raises SIGBUS.
+class MappedFile {
+ public:
+  // std::nullopt if `path` does not exist; an empty span for a 0-byte file
+  // (nothing is mapped). Throws dinar::Error, naming the path, on any other
+  // failure.
+  static std::optional<MappedFile> open(const std::string& path);
+
+  MappedFile(MappedFile&& other) noexcept;
+  MappedFile& operator=(MappedFile&& other) noexcept;
+  MappedFile(const MappedFile&) = delete;
+  MappedFile& operator=(const MappedFile&) = delete;
+  ~MappedFile();
+
+  std::span<const std::uint8_t> bytes() const { return {data_, size_}; }
+
+ private:
+  MappedFile(const std::uint8_t* data, std::size_t size) : data_(data), size_(size) {}
+
+  const std::uint8_t* data_ = nullptr;
+  std::size_t size_ = 0;
+};
+
+// Reads a whole file into memory (a copy out of MappedFile); std::nullopt
+// if it does not exist. Throws on other I/O errors.
 std::optional<std::vector<std::uint8_t>> read_file(const std::string& path);
 
 // Durably replaces `path` with `bytes` via temp + fsync + rename + parent

@@ -33,10 +33,10 @@ std::vector<std::uint8_t> frame_snapshot(std::int64_t round,
 }
 
 // Validates a snapshot file's framing + CRC; nullopt on any mismatch
-// (treated as a torn/corrupt snapshot, not an error). The payload is
-// returned in the file's own buffer, with the header erased.
-std::optional<std::vector<std::uint8_t>> unframe_snapshot(std::vector<std::uint8_t> bytes,
-                                                          std::int64_t expect_round) {
+// (treated as a torn/corrupt snapshot, not an error). On success, returns
+// the payload as a view into `bytes`.
+std::optional<std::span<const std::uint8_t>> snapshot_payload(
+    std::span<const std::uint8_t> bytes, std::int64_t expect_round) {
   if (bytes.size() < kSnapHeaderBytes) return std::nullopt;
   std::uint32_t magic, version, crc;
   std::int64_t round;
@@ -49,9 +49,9 @@ std::optional<std::vector<std::uint8_t>> unframe_snapshot(std::vector<std::uint8
   if (magic != kSnapshotMagic || version != kSnapshotVersion) return std::nullopt;
   if (round != expect_round) return std::nullopt;
   if (len != bytes.size() - kSnapHeaderBytes) return std::nullopt;
-  if (crc32(bytes.data() + kSnapHeaderBytes, len) != crc) return std::nullopt;
-  bytes.erase(bytes.begin(), bytes.begin() + kSnapHeaderBytes);
-  return bytes;
+  const std::span<const std::uint8_t> payload = bytes.subspan(kSnapHeaderBytes);
+  if (crc32(payload.data(), payload.size()) != crc) return std::nullopt;
+  return payload;
 }
 
 }  // namespace
@@ -104,26 +104,23 @@ void RoundStore::install_snapshot(std::int64_t round,
 RoundStore::Recovered RoundStore::recover() const {
   Recovered out;
   for (const std::int64_t round : snapshot_rounds()) {
-    auto bytes = read_file(snapshot_path(round));
-    if (!bytes.has_value()) continue;
-    auto payload = unframe_snapshot(std::move(*bytes), round);
+    std::optional<MappedFile> file = MappedFile::open(snapshot_path(round));
+    if (!file.has_value()) continue;
+    const auto payload = snapshot_payload(file->bytes(), round);
     if (!payload.has_value()) {
       ++out.snapshots_rejected;  // torn or bit-rotted: fall back to older
       continue;
     }
-    out.snapshot = std::move(payload);
+    out.snapshot = payload;
     out.snapshot_round = round;
+    out.snapshot_file = std::move(file);
     break;
   }
   Wal::ScanResult walscan = Wal::scan(wal_.path());
   out.wal_records = std::move(walscan.records);
   out.wal_tail_discarded = walscan.tail_discarded;
+  out.wal_file = std::move(walscan.file);
   return out;
-}
-
-bool RoundStore::empty() const {
-  if (!snapshot_rounds().empty()) return false;
-  return Wal::scan(wal_.path()).records.empty();
 }
 
 }  // namespace dinar::store

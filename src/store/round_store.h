@@ -25,6 +25,12 @@
 // Recovery (recover()): newest valid snapshot (CRC-checked, falling back
 // to older generations, tolerating none at all) + the longest valid WAL
 // prefix. Corruption never throws — it only shrinks what is recovered.
+//
+// Lifetime: recover() maps the snapshot and the WAL read-only and returns
+// views into them, validated in place. The views live only as long as
+// their Recovered, and no Recovered may be alive across a write to the
+// store: install_snapshot() truncates the WAL, and reading a truncated
+// page of a live mapping raises SIGBUS. Copy out anything needed later.
 #pragma once
 
 #include <cstdint>
@@ -33,6 +39,7 @@
 #include <string>
 #include <vector>
 
+#include "store/io.h"
 #include "store/wal.h"
 
 namespace dinar::store {
@@ -57,23 +64,24 @@ class RoundStore {
   void install_snapshot(std::int64_t round, std::span<const std::uint8_t> payload);
 
   struct Recovered {
-    // Newest snapshot that passed validation, if any.
-    std::optional<std::vector<std::uint8_t>> snapshot;
+    // Payload of the newest snapshot that passed validation, if any: a
+    // view into snapshot_file.
+    std::optional<std::span<const std::uint8_t>> snapshot;
     std::int64_t snapshot_round = -1;
-    // Longest valid WAL prefix, oldest first. May contain records already
-    // absorbed by the snapshot or duplicated by a crash between append and
-    // ack — the owner must dedupe by round.
-    std::vector<std::vector<std::uint8_t>> wal_records;
+    // Longest valid WAL prefix, oldest first: views into wal_file. May
+    // contain records already absorbed by the snapshot or duplicated by a
+    // crash between append and ack — the owner must dedupe by round.
+    std::vector<std::span<const std::uint8_t>> wal_records;
     bool wal_tail_discarded = false;
     // Snapshot files that failed validation and were skipped.
     std::size_t snapshots_rejected = 0;
+    // The read-only mappings the views above point into.
+    std::optional<MappedFile> snapshot_file;
+    std::optional<MappedFile> wal_file;
   };
 
   // Read-only recovery scan; never throws on corruption.
   Recovered recover() const;
-
-  // True if the directory holds neither a snapshot nor any WAL record.
-  bool empty() const;
 
   std::uint64_t wal_size_bytes() const { return wal_.size_bytes(); }
   std::string wal_path() const { return wal_.path(); }

@@ -73,12 +73,12 @@ void write_frame_range(int fd, const std::uint8_t* header,
 
 Wal::ScanResult Wal::scan(const std::string& path) {
   ScanResult out;
-  const auto bytes_opt = read_file(path);
-  if (!bytes_opt.has_value()) {
+  out.file = MappedFile::open(path);
+  if (!out.file.has_value()) {
     out.missing_or_empty = true;
     return out;
   }
-  const std::vector<std::uint8_t>& bytes = *bytes_opt;
+  const std::span<const std::uint8_t> bytes = out.file->bytes();
   if (bytes.size() < kHeaderBytes || get_u32(bytes.data()) != kWalMagic ||
       get_u32(bytes.data() + 4) != kWalVersion) {
     out.missing_or_empty = true;
@@ -92,9 +92,9 @@ Wal::ScanResult Wal::scan(const std::string& path) {
     const std::uint32_t crc = get_u32(bytes.data() + pos + 4);
     if (len > kMaxRecordBytes || pos + kFrameHeaderBytes + len > bytes.size())
       break;  // torn tail: header claims more bytes than the file holds
-    const std::uint8_t* payload = bytes.data() + pos + kFrameHeaderBytes;
-    if (crc32(payload, len) != crc) break;  // bit flip or partially written
-    out.records.emplace_back(payload, payload + len);
+    const std::span<const std::uint8_t> payload = bytes.subspan(pos + kFrameHeaderBytes, len);
+    if (crc32(payload.data(), len) != crc) break;  // bit flip or partially written
+    out.records.push_back(payload);
     pos += kFrameHeaderBytes + len;
     out.valid_bytes = pos;
   }
@@ -109,10 +109,18 @@ Wal::~Wal() {
 }
 
 void Wal::open_and_position() {
-  const ScanResult existing = scan(path_);
+  // Only the extent of the valid prefix is kept: the scan's mapping is
+  // dropped here, before either branch below truncates the file.
+  bool missing_or_empty = false, tail_discarded = false;
+  {
+    const ScanResult existing = scan(path_);
+    missing_or_empty = existing.missing_or_empty;
+    tail_discarded = existing.tail_discarded;
+    cursor_ = existing.valid_bytes;
+  }
   fd_ = ::open(path_.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0644);
   DINAR_CHECK(fd_ >= 0, "cannot open WAL " << path_ << ": " << std::strerror(errno));
-  if (existing.missing_or_empty) {
+  if (missing_or_empty) {
     // Fresh (or unrecognizable) log: write a clean header. An
     // unrecognizable file has no salvageable records by definition.
     std::uint8_t header[kHeaderBytes];
@@ -129,8 +137,7 @@ void Wal::open_and_position() {
   }
   // Existing log: drop any torn tail so the next append starts on a clean
   // frame boundary.
-  cursor_ = existing.valid_bytes;
-  if (existing.tail_discarded) {
+  if (tail_discarded) {
     DINAR_CHECK(::ftruncate(fd_, static_cast<off_t>(cursor_)) == 0,
                 "cannot trim torn WAL tail of " << path_ << ": "
                                                 << std::strerror(errno));

@@ -18,12 +18,22 @@
 // The writer constructor re-opens an existing log by scanning it and
 // positioning the append cursor at the end of the valid prefix, so a torn
 // tail is silently overwritten by the next append.
+//
+// Views, not copies: scan() maps the log read-only (store::MappedFile) and
+// hands back each record as a span into that mapping. A record view lives
+// only as long as its ScanResult, and no ScanResult may be alive across a
+// write to the same log: reset() and the torn-tail trim truncate the file,
+// and reading a truncated page of a live mapping raises SIGBUS. Copy a
+// record out (std::vector(r.begin(), r.end())) to keep it past either.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
+
+#include "store/io.h"
 
 namespace dinar::store {
 
@@ -33,7 +43,10 @@ inline constexpr std::uint32_t kWalVersion = 1;
 class Wal {
  public:
   struct ScanResult {
-    std::vector<std::vector<std::uint8_t>> records;  // valid prefix, in order
+    // The mapped log the record views point into (nullopt when missing).
+    std::optional<MappedFile> file;
+    // Valid prefix, in order: payload views into `file`.
+    std::vector<std::span<const std::uint8_t>> records;
     // Bytes of the valid prefix (header + intact records); anything past
     // this offset was discarded as torn or corrupt.
     std::uint64_t valid_bytes = 0;
@@ -48,7 +61,8 @@ class Wal {
   static ScanResult scan(const std::string& path);
 
   // Opens `path` for appending, creating it (with a fresh header) if
-  // missing, and truncating any torn tail left by a previous crash.
+  // missing, and truncating any torn tail left by a previous crash. The
+  // scan that finds the valid prefix is unmapped before that truncation.
   explicit Wal(std::string path);
   ~Wal();
   Wal(const Wal&) = delete;

@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -65,7 +66,7 @@ class BinaryWriter {
 class BinaryReader {
  public:
   BinaryReader(const std::uint8_t* data, std::size_t size) : data_(data), size_(size) {}
-  explicit BinaryReader(const std::vector<std::uint8_t>& buf)
+  explicit BinaryReader(std::span<const std::uint8_t> buf)
       : BinaryReader(buf.data(), buf.size()) {}
 
   std::uint8_t read_u8() { return read_pod<std::uint8_t>(); }

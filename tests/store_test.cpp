@@ -8,9 +8,12 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <optional>
+#include <span>
 
 #include "fl/durable.h"
 #include "fl/simulation.h"
+#include "nn/model.h"
 #include "store/io.h"
 #include "store/round_store.h"
 #include "store/wal.h"
@@ -35,6 +38,18 @@ std::string fresh_dir(const std::string& name) {
 std::vector<std::uint8_t> bytes_of(std::initializer_list<int> v) {
   std::vector<std::uint8_t> out;
   for (int x : v) out.push_back(static_cast<std::uint8_t>(x));
+  return out;
+}
+
+// Copies of record views, so tests compare bytes, not just sizes.
+std::vector<std::uint8_t> copy_of(std::span<const std::uint8_t> view) {
+  return {view.begin(), view.end()};
+}
+
+std::vector<std::vector<std::uint8_t>> copies_of(
+    const std::vector<std::span<const std::uint8_t>>& views) {
+  std::vector<std::vector<std::uint8_t>> out;
+  for (const std::span<const std::uint8_t> v : views) out.push_back(copy_of(v));
   return out;
 }
 
@@ -187,6 +202,39 @@ TEST(ReadFileTest, RoundTripsAtChunkAndPageEdges) {
   EXPECT_FALSE(store::read_file(dir + "/missing").has_value());
 }
 
+TEST(MappedFileTest, ViewsTheFileByteForByteAtPageEdges) {
+  const std::string dir = fresh_dir("mapped");
+  for (std::size_t n : {0u, 1u, 4095u, 4096u, 4097u, (1u << 20) + 3}) {
+    const std::string path = dir + "/f" + std::to_string(n);
+    const std::vector<std::uint8_t> bytes = pseudo_random_bytes(n);
+    store::atomic_write_file(path, bytes);
+    std::optional<store::MappedFile> file = store::MappedFile::open(path);
+    ASSERT_TRUE(file.has_value()) << n;
+    ASSERT_EQ(file->bytes().size(), n);
+    EXPECT_EQ(copy_of(file->bytes()), bytes) << "size " << n;
+    // A move hands the mapping over; views into it stay valid.
+    const std::span<const std::uint8_t> view = file->bytes();
+    store::MappedFile moved = std::move(*file);
+    file.reset();
+    EXPECT_EQ(moved.bytes().data(), view.data());
+    EXPECT_EQ(copy_of(view), bytes) << "size " << n << " after a move";
+  }
+  EXPECT_FALSE(store::MappedFile::open(dir + "/missing").has_value());
+}
+
+// True if this process has `path` mapped (Linux /proc/self/maps).
+std::optional<bool> mapped_in_this_process(const std::string& path) {
+  std::ifstream maps("/proc/self/maps");
+  if (!maps) return std::nullopt;
+  const std::string target = fs::canonical(path).string();
+  std::string line;
+  while (std::getline(maps, line))
+    if (line.size() >= target.size() &&
+        line.compare(line.size() - target.size(), target.size(), target) == 0)
+      return true;
+  return false;
+}
+
 // ------------------------------------------------------------------- WAL ----
 
 TEST(WalTest, FreshLogScansEmpty) {
@@ -208,7 +256,7 @@ TEST(WalTest, AppendReopenScanRoundTrips) {
   }
   store::Wal reopened(path);  // must not disturb the valid prefix
   const auto scan = store::Wal::scan(path);
-  EXPECT_EQ(scan.records, records);
+  EXPECT_EQ(copies_of(scan.records), records);
   EXPECT_FALSE(scan.tail_discarded);
 }
 
@@ -220,7 +268,7 @@ TEST(WalTest, ResetTruncatesToHeader) {
   wal.append(bytes_of({4}));
   const auto scan = store::Wal::scan(path);
   ASSERT_EQ(scan.records.size(), 1u);
-  EXPECT_EQ(scan.records[0], bytes_of({4}));
+  EXPECT_EQ(copy_of(scan.records[0]), bytes_of({4}));
 }
 
 // Torn at EVERY byte boundary: truncating the log anywhere must yield
@@ -245,22 +293,27 @@ TEST(WalTest, TruncationAtEveryLengthRecoversLongestValidPrefix) {
   for (std::size_t len = 0; len < full->size(); ++len) {
     const std::string torn = dir + "/torn.log";
     write_raw(torn, {full->begin(), full->begin() + static_cast<long>(len)});
-    const auto scan = store::Wal::scan(torn);
-    if (len < 8) {
-      EXPECT_TRUE(scan.missing_or_empty) << "len=" << len;
-      continue;
-    }
     std::size_t expect = 0;
     while (expect + 1 < boundaries.size() && boundaries[expect + 1] <= len) ++expect;
-    ASSERT_EQ(scan.records.size(), expect) << "len=" << len;
-    for (std::size_t i = 0; i < expect; ++i) EXPECT_EQ(scan.records[i], records[i]);
-    EXPECT_EQ(scan.tail_discarded, len != boundaries[expect]) << "len=" << len;
+    {  // the scan's mapping must be gone before the reopen trims the file
+      const auto scan = store::Wal::scan(torn);
+      if (len < 8) {
+        EXPECT_TRUE(scan.missing_or_empty) << "len=" << len;
+        continue;
+      }
+      ASSERT_EQ(scan.records.size(), expect) << "len=" << len;
+      for (std::size_t i = 0; i < expect; ++i)
+        EXPECT_EQ(copy_of(scan.records[i]), records[i]) << "len=" << len;
+      EXPECT_EQ(scan.tail_discarded, len != boundaries[expect]) << "len=" << len;
+    }
     // Re-opening the torn log for append must trim the tail cleanly.
     store::Wal reopened(torn);
     reopened.append(bytes_of({42}));
     const auto rescan = store::Wal::scan(torn);
     ASSERT_EQ(rescan.records.size(), expect + 1) << "len=" << len;
-    EXPECT_EQ(rescan.records.back(), bytes_of({42}));
+    for (std::size_t i = 0; i < expect; ++i)
+      EXPECT_EQ(copy_of(rescan.records[i]), records[i]) << "len=" << len;
+    EXPECT_EQ(copy_of(rescan.records.back()), bytes_of({42}));
   }
 }
 
@@ -293,8 +346,73 @@ TEST(WalTest, BitFlipAtEveryByteStopsAtTheFlippedFrame) {
     std::size_t frame = 0;
     while (frame + 1 < boundaries.size() && boundaries[frame + 1] <= pos) ++frame;
     ASSERT_EQ(scan.records.size(), frame) << "pos=" << pos;
-    for (std::size_t i = 0; i < frame; ++i) EXPECT_EQ(scan.records[i], records[i]);
+    for (std::size_t i = 0; i < frame; ++i)
+      EXPECT_EQ(copy_of(scan.records[i]), records[i]) << "pos=" << pos;
   }
+}
+
+// Reopening a log with a torn tail, or with a header that is not a WAL's,
+// truncates it; the scan that found the valid prefix must be unmapped by
+// then, since reading a truncated page of a live mapping raises SIGBUS.
+TEST(WalTest, OpeningATornOrForeignLogUnmapsItsScanBeforeTrimming) {
+  const std::string dir = fresh_dir("wal_unmap");
+  const std::string path = dir + "/wal.log";
+  const std::vector<std::uint8_t> record = pseudo_random_bytes(3 * 4096);
+  {
+    store::Wal wal(path);
+    wal.append(record);
+  }
+  const std::vector<std::uint8_t> full = *store::read_file(path);
+  {  // positive control: a live scan shows up as a mapping of the file
+    const auto scan = store::Wal::scan(path);
+    const std::optional<bool> seen = mapped_in_this_process(path);
+    if (!seen.has_value()) GTEST_SKIP() << "/proc/self/maps is not readable";
+    ASSERT_TRUE(*seen);
+  }
+  std::vector<std::uint8_t> torn = full;
+  torn.resize(full.size() - 100);  // the only record loses its last bytes
+  std::vector<std::uint8_t> foreign = full;
+  foreign[0] ^= 0xFF;  // not a DWAL header
+  for (const auto& [name, bytes] : {std::pair{"torn", torn}, std::pair{"foreign", foreign}}) {
+    write_raw(path, bytes);
+    store::Wal wal(path);
+    EXPECT_FALSE(*mapped_in_this_process(path)) << name;
+    EXPECT_EQ(fs::file_size(path), 8u) << name;  // trimmed to the bare header
+    EXPECT_EQ(wal.size_bytes(), 8u) << name;
+    wal.append(bytes_of({5}));
+    const auto scan = store::Wal::scan(path);
+    ASSERT_EQ(scan.records.size(), 1u) << name;
+    EXPECT_EQ(copy_of(scan.records[0]), bytes_of({5})) << name;
+  }
+}
+
+// Fixed payloads through Wal::append and install_snapshot hash to values
+// recorded from the on-disk format: a framing change fails here by name,
+// with no model numerics involved.
+std::uint64_t fnv1a64(std::span<const std::uint8_t> bytes) {
+  std::uint64_t h = 0xCBF29CE484222325ull;
+  for (const std::uint8_t b : bytes) h = (h ^ b) * 0x100000001B3ull;
+  return h;
+}
+
+TEST(StoreGoldenTest, WalAndSnapshotFilesHashToRecordedValues) {
+  const std::string dir = fresh_dir("golden") + "/store";
+  store::RoundStore s(dir);
+  s.append(bytes_of({}));
+  s.append(bytes_of({1, 2, 3}));
+  s.append(pseudo_random_bytes(1000));
+  const std::vector<std::uint8_t> wal = *store::read_file(dir + "/wal.log");
+  EXPECT_EQ(wal.size(), 8u + 8u + (8u + 3u) + (8u + 1000u));
+  EXPECT_EQ(fnv1a64(wal), 0xB2CF1B959EE5A260ull);
+
+  s.install_snapshot(7, pseudo_random_bytes(333));
+  s.append(bytes_of({9, 9}));
+  const std::vector<std::uint8_t> snap = *store::read_file(dir + "/snapshot-000000000007.snap");
+  EXPECT_EQ(snap.size(), 28u + 333u);
+  EXPECT_EQ(fnv1a64(snap), 0xD2C41F92BAF3CC10ull);
+  const std::vector<std::uint8_t> compacted = *store::read_file(dir + "/wal.log");
+  EXPECT_EQ(compacted.size(), 8u + 8u + 2u);
+  EXPECT_EQ(fnv1a64(compacted), 0xC8575BCB50D090E1ull);
 }
 
 // ------------------------------------------------------------- crashpoints --
@@ -353,7 +471,7 @@ TEST(CrashpointDeathTest, MidWriteAppendLeavesATornHalfFrame) {
 
   const auto scan = store::Wal::scan(path);
   ASSERT_EQ(scan.records.size(), 1u);
-  EXPECT_EQ(scan.records[0], bytes_of({1, 2, 3}));
+  EXPECT_EQ(copy_of(scan.records[0]), bytes_of({1, 2, 3}));
   EXPECT_TRUE(scan.tail_discarded);
 }
 
@@ -372,7 +490,7 @@ TEST(CrashpointTest, SplitAppendWritesTheWholeFrameWhenArmedElsewhere) {
     crashpoint_disarm();
   }
   const auto scan = store::Wal::scan(path);
-  EXPECT_EQ(scan.records, (std::vector<std::vector<std::uint8_t>>{odd, tiny, {}}));
+  EXPECT_EQ(copies_of(scan.records), (std::vector<std::vector<std::uint8_t>>{odd, tiny, {}}));
   EXPECT_FALSE(scan.tail_discarded);
 }
 
@@ -428,10 +546,12 @@ TEST(CrashpointSpecTest, RejectsMalformedSpecsWithNamedErrors) {
 
 TEST(RoundStoreTest, FreshStoreIsEmpty) {
   store::RoundStore s(fresh_dir("rs_empty") + "/store");
-  EXPECT_TRUE(s.empty());
   const auto rec = s.recover();
   EXPECT_FALSE(rec.snapshot.has_value());
+  EXPECT_EQ(rec.snapshot_round, -1);
+  EXPECT_EQ(rec.snapshots_rejected, 0u);
   EXPECT_TRUE(rec.wal_records.empty());
+  EXPECT_FALSE(rec.wal_tail_discarded);
 }
 
 TEST(RoundStoreTest, SnapshotOnlyRecovers) {
@@ -441,7 +561,7 @@ TEST(RoundStoreTest, SnapshotOnlyRecovers) {
   s.install_snapshot(5, bytes_of({10, 20, 30}));  // compaction resets the WAL
   const auto rec = s.recover();
   ASSERT_TRUE(rec.snapshot.has_value());
-  EXPECT_EQ(*rec.snapshot, bytes_of({10, 20, 30}));
+  EXPECT_EQ(copy_of(*rec.snapshot), bytes_of({10, 20, 30}));
   EXPECT_EQ(rec.snapshot_round, 5);
   EXPECT_TRUE(rec.wal_records.empty());
 }
@@ -468,9 +588,33 @@ TEST(RoundStoreTest, CorruptNewestSnapshotFallsBackToOlder) {
   store::RoundStore s(dir);
   const auto rec = s.recover();
   ASSERT_TRUE(rec.snapshot.has_value());
-  EXPECT_EQ(*rec.snapshot, bytes_of({1, 1}));
+  EXPECT_EQ(copy_of(*rec.snapshot), bytes_of({1, 1}));
   EXPECT_EQ(rec.snapshot_round, 1);
   EXPECT_EQ(rec.snapshots_rejected, 1u);
+}
+
+// A recovery's views are dropped before the store is written again:
+// compaction truncates the WAL that the first recovery had mapped.
+TEST(RoundStoreTest, RecoverThenCompactThenRecoverAgain) {
+  const std::string dir = fresh_dir("rs_recompact") + "/store";
+  store::RoundStore s(dir);
+  const std::vector<std::uint8_t> big = pseudo_random_bytes(3 * 4096 + 5);
+  s.append(big);
+  s.append(bytes_of({4, 4}));
+  {
+    const auto rec = s.recover();
+    EXPECT_FALSE(rec.snapshot.has_value());
+    EXPECT_EQ(copies_of(rec.wal_records),
+              (std::vector<std::vector<std::uint8_t>>{big, bytes_of({4, 4})}));
+  }
+  s.install_snapshot(2, big);  // truncates the WAL to its header
+  s.append(bytes_of({3}));
+  const auto rec = s.recover();
+  ASSERT_TRUE(rec.snapshot.has_value());
+  EXPECT_EQ(copy_of(*rec.snapshot), big);
+  EXPECT_EQ(rec.snapshot_round, 2);
+  EXPECT_EQ(copies_of(rec.wal_records), (std::vector<std::vector<std::uint8_t>>{bytes_of({3})}));
+  EXPECT_FALSE(rec.wal_tail_discarded);
 }
 
 TEST(RoundStoreTest, TruncatedSnapshotIsRejectedNotFatal) {
@@ -588,10 +732,15 @@ TEST(DurableSimTest, DuplicateRoundRecordsAreDeduped) {
     fl::FederatedSimulation sim = make_durable_sim(4);
     sim.attach_store(&s, 100);
     for (int i = 0; i < 3; ++i) sim.run_round();
-    // Duplicate the last committed record verbatim.
-    const auto scan = store::Wal::scan(s.wal_path());
-    ASSERT_EQ(scan.records.size(), 3u);
-    s.append(scan.records.back());
+    // Duplicate the last committed record verbatim (copied out: no view
+    // may be alive across a write to the log).
+    std::vector<std::uint8_t> last;
+    {
+      const auto scan = store::Wal::scan(s.wal_path());
+      ASSERT_EQ(scan.records.size(), 3u);
+      last = copy_of(scan.records.back());
+    }
+    s.append(last);
   }
   for (int i = 0; i < 3; ++i) reference.run_round();
 
@@ -616,21 +765,177 @@ TEST(DurableSimTest, CorruptMiddleRecordStopsReplayAtThePrefix) {
   // Re-frame record 2 with valid CRC but garbage payload: serde-level
   // corruption that the CRC cannot catch.
   {
-    const auto scan = store::Wal::scan(dir + "/wal.log");
-    ASSERT_EQ(scan.records.size(), 3u);
-    std::vector<std::uint8_t> mangled = scan.records[1];
+    // Copied out first: reset() truncates the log under any live view.
+    const auto records = copies_of(store::Wal::scan(dir + "/wal.log").records);
+    ASSERT_EQ(records.size(), 3u);
+    std::vector<std::uint8_t> mangled = records[1];
     mangled[0] = 0xEE;  // unknown record kind
     store::Wal wal(dir + "/wal.log");
     wal.reset();
-    wal.append(scan.records[0]);
+    wal.append(records[0]);
     wal.append(mangled);
-    wal.append(scan.records[2]);
+    wal.append(records[2]);
   }
   store::RoundStore s(dir);
   fl::FederatedSimulation recovered = make_durable_sim(4);
   recovered.attach_store(&s, 100);
   EXPECT_EQ(recovered.recover_from_store(), 1);  // only round 1 survives
   EXPECT_EQ(recovered.round_log().size(), 1u);
+}
+
+// A record whose CRC holds but whose bytes end inside a client's
+// parameters stops replay there. The global delta and earlier clients of
+// that record were already applied, so recovery rewinds and keeps exactly
+// the state of the records before it.
+TEST(DurableSimTest, RecordCutInsideClientParamsKeepsTheLongestValidPrefix) {
+  const std::string dir = fresh_dir("sim_cut_params") + "/store";
+  {
+    store::RoundStore s(dir);
+    fl::FederatedSimulation sim = make_durable_sim(4);
+    sim.attach_store(&s, 100);
+    for (int i = 0; i < 3; ++i) sim.run_round();
+  }
+  fl::FederatedSimulation reference = make_durable_sim(4);
+  reference.run_round();
+  const std::vector<std::uint8_t> after_one = full_state(reference);
+  reference.run_round();
+
+  const auto records = copies_of(store::Wal::scan(dir + "/wal.log").records);
+  ASSERT_EQ(records.size(), 3u);
+  // Round 2's record holds the post-round state of every client it
+  // touched; find one client's parameters in it and cut there.
+  std::size_t cut = 0;
+  for (fl::FlClient& c : reference.clients()) {
+    BinaryWriter w;
+    nn::write_flat_params(w, c.model().parameters());
+    const auto at = std::search(records[1].begin(), records[1].end(), w.buffer().begin(),
+                                w.buffer().end());
+    if (at == records[1].end()) continue;
+    cut = static_cast<std::size_t>(at - records[1].begin()) + w.size() / 2;
+    break;
+  }
+  ASSERT_GT(cut, 0u) << "no client state found in round 2's record";
+  {
+    store::Wal wal(dir + "/wal.log");
+    wal.reset();
+    wal.append(records[0]);
+    wal.append(std::span<const std::uint8_t>(records[1]).first(cut));
+    wal.append(records[2]);
+  }
+  store::RoundStore s(dir);
+  fl::FederatedSimulation recovered = make_durable_sim(4);
+  recovered.attach_store(&s, 100);
+  EXPECT_EQ(recovered.recover_from_store(), 1);
+  EXPECT_EQ(recovered.round_log().size(), 1u);
+  EXPECT_EQ(full_state(recovered), after_one);
+}
+
+// A simulation that recovered goes on writing to the same store: its next
+// snapshot truncates the WAL the recovery had mapped, and a second
+// recovery from the compacted store still matches the uninterrupted run.
+TEST(DurableSimTest, RecoverThenCompactThenRecoverAgain) {
+  const std::string dir = fresh_dir("sim_recompact") + "/store";
+  fl::FederatedSimulation reference = make_durable_sim(5);
+  {
+    store::RoundStore s(dir);
+    fl::FederatedSimulation sim = make_durable_sim(5);
+    sim.attach_store(&s, /*snapshot_every=*/3);
+    sim.run_round();
+    sim.run_round();  // WAL only: two round records
+  }
+  {
+    store::RoundStore s(dir);
+    fl::FederatedSimulation resumed = make_durable_sim(5);
+    resumed.attach_store(&s, 3);
+    ASSERT_EQ(resumed.recover_from_store(), 2);
+    resumed.run_round();  // compacts: snapshot at round 3, WAL truncated
+    resumed.run_round();  // one record on the fresh WAL
+  }
+  for (int i = 0; i < 4; ++i) reference.run_round();
+
+  store::RoundStore s(dir);
+  {
+    const auto rec = s.recover();
+    EXPECT_EQ(rec.snapshot_round, 3);
+    EXPECT_EQ(rec.wal_records.size(), 1u);
+  }
+  fl::FederatedSimulation recovered = make_durable_sim(5);
+  recovered.attach_store(&s, 3);
+  EXPECT_EQ(recovered.recover_from_store(), 4);
+  EXPECT_EQ(full_state(recovered), full_state(reference));
+}
+
+// ------------------------------------------------------- in-place restore ----
+
+std::vector<float> values_of(nn::Model& m) {
+  const nn::FlatParams p = m.parameters();
+  return {p.as_span().begin(), p.as_span().end()};
+}
+
+TEST(InPlaceRestoreTest, RoundTripsIntoAModelOfTheSameLayout) {
+  Rng rng(5);
+  nn::Model src = testing::make_tiny_mlp(4, 3, rng);
+  nn::Model dst = testing::make_tiny_mlp(4, 3, rng);
+  BinaryWriter w;
+  nn::write_flat_params(w, src.parameters());
+  BinaryReader r(w.buffer());
+  nn::read_flat_params_into(r, dst);
+  EXPECT_TRUE(r.exhausted());
+  EXPECT_EQ(values_of(dst), values_of(src));
+}
+
+TEST(InPlaceRestoreTest, ForeignLayerIndexThrowsAndLeavesTensorsUntouched) {
+  Rng rng(6);
+  nn::Model model = testing::make_tiny_mlp(4, 3, rng);
+  const std::vector<float> before = values_of(model);
+  for (nn::Model other : {testing::make_tiny_mlp(4, 2, rng), testing::make_wide_mlp(4, 3, rng)}) {
+    BinaryWriter w;
+    nn::write_flat_params(w, other.parameters());
+    BinaryReader r(w.buffer());
+    EXPECT_THROW(nn::read_flat_params_into(r, model), Error);
+    EXPECT_EQ(values_of(model), before);
+  }
+}
+
+TEST(InPlaceRestoreTest, TooFewFloatsThrowsAndLeavesTensorsUntouched) {
+  Rng rng(7);
+  nn::Model model = testing::make_tiny_mlp(4, 3, rng);
+  nn::Model src = testing::make_tiny_mlp(4, 3, rng);
+  const std::vector<float> before = values_of(model);
+  const nn::FlatParams p = src.parameters();
+  // A float count one short of the index's, with its floats all present.
+  {
+    BinaryWriter w;
+    nn::write_layer_index(w, *p.index());
+    w.write_f32_span(p.as_span().data(), p.as_span().size() - 1);
+    BinaryReader r(w.buffer());
+    EXPECT_THROW(nn::read_flat_params_into(r, model), Error);
+    EXPECT_EQ(values_of(model), before);
+  }
+  // The right count, but the buffer ends at every point inside the floats.
+  BinaryWriter w;
+  nn::write_flat_params(w, p);
+  const std::size_t payload = p.as_span().size() * sizeof(float);
+  for (std::size_t cut = w.size() - payload; cut < w.size(); cut += 7) {
+    BinaryReader r(w.buffer().data(), cut);
+    EXPECT_THROW(nn::read_flat_params_into(r, model), Error) << "cut at " << cut;
+    EXPECT_EQ(values_of(model), before) << "cut at " << cut;
+  }
+}
+
+// The same through a client's saved state, as WAL records and snapshots
+// carry it: another model's state is refused by name, the model untouched.
+TEST(InPlaceRestoreTest, ClientStateOfAnotherModelThrowsAndLeavesTheModelUntouched) {
+  fl::FederatedSimulation sim = make_durable_sim(4);
+  fl::FederatedSimulation other(tiny_mlp_factory(2, 3), easy_split(3, 300, 11),
+                                durable_config(4), fl::DefenseBundle{});
+  BinaryWriter w;
+  other.clients()[0].save_state(w);
+  fl::FlClient& client = sim.clients()[0];
+  const std::vector<float> before = values_of(client.model());
+  BinaryReader r(w.buffer());
+  EXPECT_THROW(client.restore_state(r), Error);
+  EXPECT_EQ(values_of(client.model()), before);
 }
 
 TEST(DurableSimTest, FullStateRejectsMismatchedConfig) {

@@ -45,6 +45,7 @@
 #include <filesystem>
 #include <functional>
 #include <map>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -79,13 +80,13 @@ void put_u64(std::vector<std::uint8_t>& b, std::uint64_t v) {
   std::memcpy(b.data() + at, &v, sizeof v);
 }
 
-std::uint32_t get_u32(const std::vector<std::uint8_t>& b, std::size_t at) {
+std::uint32_t get_u32(std::span<const std::uint8_t> b, std::size_t at) {
   std::uint32_t v = 0;
   if (at + sizeof v <= b.size()) std::memcpy(&v, b.data() + at, sizeof v);
   return v;
 }
 
-std::uint64_t get_u64(const std::vector<std::uint8_t>& b, std::size_t at) {
+std::uint64_t get_u64(std::span<const std::uint8_t> b, std::size_t at) {
   std::uint64_t v = 0;
   if (at + sizeof v <= b.size()) std::memcpy(&v, b.data() + at, sizeof v);
   return v;
@@ -152,13 +153,16 @@ int serve(const std::string& dir, std::uint16_t port) {
   // client is allowed to commit. This is the recovery contract — a restart
   // remembers every acked commit and re-acks (never re-appends) retries of
   // them.
+  // The record views die with this scope, before the first append.
   std::map<std::uint64_t, std::uint64_t> next_round;
-  const store::RoundStore::Recovered rec = store.recover();
-  for (const std::vector<std::uint8_t>& r : rec.wal_records) {
-    if (r.size() < 2 * sizeof(std::uint64_t)) continue;
-    const std::uint64_t client = get_u64(r, 0);
-    const std::uint64_t round = get_u64(r, sizeof(std::uint64_t));
-    if (round + 1 > next_round[client]) next_round[client] = round + 1;
+  {
+    const store::RoundStore::Recovered rec = store.recover();
+    for (const std::span<const std::uint8_t> r : rec.wal_records) {
+      if (r.size() < 2 * sizeof(std::uint64_t)) continue;
+      const std::uint64_t client = get_u64(r, 0);
+      const std::uint64_t round = get_u64(r, sizeof(std::uint64_t));
+      if (round + 1 > next_round[client]) next_round[client] = round + 1;
+    }
   }
 
   std::atomic<std::uint64_t> committed{0}, seq_errors{0};
@@ -475,7 +479,7 @@ bool audit_store(const std::string& dir,
   *total_commits = 0;
   *duplicates = 0;
   bool ok = true;
-  for (const std::vector<std::uint8_t>& r : rec.wal_records) {
+  for (const std::span<const std::uint8_t> r : rec.wal_records) {
     if (r.size() < 2 * sizeof(std::uint64_t)) {
       std::printf("AUDIT FAIL: runt WAL record of %zu bytes\n", r.size());
       ok = false;
